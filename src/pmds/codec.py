@@ -117,7 +117,7 @@ def encode(config: CodecConfig, message) -> list[Share]:
     words = _as_words(config, message)
     gen = generator_matrix(config)
     coded = kernels.matmul(words, gen.data, *config.field.tables())  # (W, n)
-    return [Share(u=u, symbols=coded[:, u].copy()) for u in range(config.n)]
+    return [Share(u=u, symbols=coded[:, u]) for u in range(config.n)]
 
 
 def decode(config: CodecConfig, shares) -> np.ndarray:
@@ -143,6 +143,10 @@ def decode(config: CodecConfig, shares) -> np.ndarray:
     gen = generator_matrix(config)
     cols = gen.data[:, [s.u for s in chosen]]  # (K, K)
     rhs = np.stack([np.asarray(s.symbols, dtype=np.int64) for s in chosen])  # (K, W)
+    if rhs.size and (rhs.min() < 0 or rhs.max() >= config.field.q):
+        raise DecodeError(
+            f"share symbol out of range [0, {config.field.q}): share data is corrupt"
+        )
     try:
         system = MatrixGF(config.field, cols.T)  # row i: generator column u_i
     except ValueError as e:
@@ -264,6 +268,10 @@ def _symbol_width(q: int) -> int:
 
 
 def write_share(stream: io.RawIOBase, config: CodecConfig, share: Share, byte_length: int):
+    q = config.field.q
+    syms = np.asarray(share.symbols)
+    if syms.size and (syms.min() < 0 or syms.max() >= q):
+        raise ValueError(f"share symbols out of range [0, {q})")
     header = _HEADER.pack(
         MAGIC,
         VERSION,
@@ -275,12 +283,8 @@ def write_share(stream: io.RawIOBase, config: CodecConfig, share: Share, byte_le
         byte_length,
     )
     stream.write(header)
-    width = _symbol_width(config.field.q)
-    syms = np.asarray(share.symbols, dtype=np.int64)
-    if width == 1:
-        stream.write(syms.astype(np.uint8).tobytes())
-    else:
-        stream.write(syms.astype(">u2").tobytes())
+    dtype = np.uint8 if _symbol_width(q) == 1 else ">u2"
+    stream.write(syms.astype(dtype, copy=False).tobytes())
 
 
 def read_share(stream: io.RawIOBase) -> tuple[FrameHeader, Share]:

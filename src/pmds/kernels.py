@@ -1,18 +1,27 @@
-"""Hot numeric kernels: exact elimination over GF(q) and the MDS column scan.
+"""Hot numeric kernels: exact elimination over GF(q), products, the MDS scan.
 
-Two interchangeable backends produce bit-identical results:
+Two backends produce the same element values:
 
 * ``numba`` -- the loop kernels below compiled with ``@njit`` (default
-  whenever numba imports cleanly);
-* ``numpy`` -- vectorized row operations, no compilation step.
+  whenever numba imports cleanly; numba is an optional extra);
+* ``numpy`` -- interpreted Python for small systems, numpy row operations
+  for large ones, and a table-driven product kernel; no compilation step.
 
 ``PMDS_BACKEND=numba|numpy`` selects the backend at import time.
-``benchmarks/bench_backends.py`` times one against the other.
 
 Kernels take field arithmetic unpacked as ``(p, h, q, log, exp)`` int/array
 arguments (see ``GF.tables``): addition is digit-wise mod p on base-p digit
 vectors (XOR when p = 2) and multiplication goes through the log/antilog
-tables.  All matrices are int64 arrays of element indices.
+tables.  Matrices passed in are int64 arrays of element indices.
+
+The numpy ``matmul`` multiplies by lookup: an extended antilog table read at
+``log[c] + log[x]``, where ``log[0]`` is a sentinel that lands on zeros, so
+the slice ``exp_ext[log[c]:]`` is the full row of products by the
+coefficient c and one 1-D gather multiplies a whole operand row by c.  Zero
+coefficients are skipped, so a generator's zeros cost nothing.  Products
+are accumulated by XOR (p = 2), as an integer sum reduced mod p (h = 1), or
+digit-wise (odd p, h > 1).  Its result holds narrow symbols: ``uint8`` for
+q <= 256, ``uint16`` above.
 """
 
 from __future__ import annotations
@@ -272,15 +281,30 @@ def v_mul(a, b, q, logt, expt):
 
 _SCALAR_CUTOFF = 400  # elements
 
-_scalar_table_cache: dict[int, tuple] = {}
+_BLOCK = 16384  # product entries per pass: a block of operand logs stays in cache
+
+_table_cache: dict[int, tuple] = {}
 
 
-def _scalar_tables(logt, expt):
-    hit = _scalar_table_cache.get(id(logt))
+def _field_tables(logt, expt):
+    """Tables derived once per field: (log list, exp list) for the scalar
+    path and (log_ext, exp_ext) for the product kernel.
+
+    ``log_ext`` is ``log`` as intp with ``log_ext[0]`` set to a sentinel
+    past every sum of two logs; ``exp_ext[i]`` is ``exp[i mod (q-1)]`` below
+    the sentinel and 0 from it on, in the narrow symbol dtype.
+    """
+    hit = _table_cache.get(id(logt))
     if hit is None or hit[0] is not logt:
-        hit = (logt, logt.tolist(), expt.tolist())
-        _scalar_table_cache[id(logt)] = hit
-    return hit[1], hit[2]
+        qm = logt.size - 1
+        sentinel = 2 * qm - 1
+        log_ext = logt.astype(np.intp)
+        log_ext[0] = sentinel
+        exp_ext = np.zeros(sentinel + qm, dtype=np.uint8 if qm < 256 else np.uint16)
+        exp_ext[:sentinel] = expt[np.arange(sentinel) % qm]
+        hit = (logt, logt.tolist(), expt.tolist(), log_ext, exp_ext)
+        _table_cache[id(logt)] = hit
+    return hit[1:]
 
 
 def _scalar_sub_fn(p, h):
@@ -302,7 +326,7 @@ def _scalar_sub_fn(p, h):
 
 
 def _rank_scalar(m, p, h, q, logt, expt):
-    lt, et = _scalar_tables(logt, expt)
+    lt, et, _, _ = _field_tables(logt, expt)
     sub = _scalar_sub_fn(p, h)
     qm = q - 1
     rows = m.tolist()
@@ -340,7 +364,7 @@ def _rank_scalar(m, p, h, q, logt, expt):
 
 
 def _solve_scalar(a, b, p, h, q, logt, expt):
-    lt, et = _scalar_tables(logt, expt)
+    lt, et, _, _ = _field_tables(logt, expt)
     sub = _scalar_sub_fn(p, h)
     qm = q - 1
     rows_a = a.tolist()
@@ -411,8 +435,15 @@ def _rank_numpy(m, p, h, q, logt, expt):
 
 
 def _solve_numpy(a, b, p, h, q, logt, expt):
-    if a.size <= _SCALAR_CUTOFF and b.size <= _SCALAR_CUTOFF:
-        return _solve_scalar(a, b, p, h, q, logt, expt)
+    if a.size <= _SCALAR_CUTOFF:
+        if b.size <= _SCALAR_CUTOFF:
+            return _solve_scalar(a, b, p, h, q, logt, expt)
+        # Many right-hand sides: invert a once, then one product applies it.
+        inv = np.eye(a.shape[0], dtype=np.int64)
+        if _solve_scalar(a, inv, p, h, q, logt, expt):
+            return 1
+        b[:] = _matmul_numpy(inv, b, p, h, q, logt, expt)
+        return 0
     k = a.shape[0]
     for c in range(k):
         nz = np.nonzero(a[c:, c])[0]
@@ -437,11 +468,37 @@ def _solve_numpy(a, b, p, h, q, logt, expt):
 
 
 def _matmul_numpy(a, b, p, h, q, logt, expt):
-    n = a.shape[0]
-    cols = b.shape[1]
-    out = np.zeros((n, cols), dtype=np.int64)
-    for t in range(a.shape[1]):
-        out = v_add(out, v_mul(a[:, t][:, None], b[t][None, :], q, logt, expt), p, h)
+    """a @ b by table lookups, one pass per row of the smaller output side.
+
+    Over columns the result is the transpose of a C-ordered (cols, rows)
+    buffer, so each output column is contiguous.
+    """
+    if a.shape[0] >= b.shape[1]:
+        return _product_rows(b.T, a.T, p, h, logt, expt).T
+    return _product_rows(a, b, p, h, logt, expt)
+
+
+def _product_rows(coef, x, p, h, logt, expt):
+    """out[i] = sum over t of coef[i, t] * x[t], skipping zero coefficients."""
+    lt, _, log_ext, exp_ext = _field_tables(logt, expt)
+    length = x.shape[1]
+    out = np.zeros((coef.shape[0], length), dtype=exp_ext.dtype)
+    xlog = log_ext[x]
+    passes = [[(t, lt[c]) for t, c in enumerate(row) if c] for row in coef.tolist()]
+    for s in range(0, length, _BLOCK):
+        xs = xlog[:, s : s + _BLOCK]
+        for acc, terms in zip(out[:, s : s + _BLOCK], passes):
+            if p == 2:
+                for t, lc in terms:
+                    acc ^= exp_ext[lc:][xs[t]]
+            elif h == 1:
+                total = np.zeros(acc.size, dtype=np.int64)
+                for t, lc in terms:
+                    total += exp_ext[lc:][xs[t]]
+                acc[:] = total % p
+            else:
+                for t, lc in terms:
+                    acc[:] = v_add(acc, exp_ext[lc:][xs[t]], p, h)
     return out
 
 

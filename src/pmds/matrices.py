@@ -119,7 +119,7 @@ def vec_mat_mul(vec, m: MatrixGF) -> np.ndarray:
         raise ValueError("vector length must equal the matrix row count")
     if np.any((row < 0) | (row >= m.field.q)):
         raise ValueError("vector entries out of range")
-    return kernels.matmul(row[None, :], m.data, *m.field.tables())[0]
+    return kernels.matmul(row[None, :], m.data, *m.field.tables())[0].astype(np.int64)
 
 
 # -- text interchange format ----------------------------------------------------

@@ -138,6 +138,26 @@ def test_decode_too_few_shares_domain_failure(tmp_path, capsys, monkeypatch):
     assert "distinct coordinates" in err
 
 
+def test_decode_out_of_range_symbol_domain_failure(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "m.bin"
+    src.write_bytes(bytes(range(40)))
+    out_dir = tmp_path / "s"
+    run_cli(
+        ["encode", "--field", "5", "--k", "3", "--in", str(src), "--out-dir", str(out_dir)],
+        capsys=capsys,
+    )
+    frame = out_dir / "share_1.bin"
+    raw = bytearray(frame.read_bytes())
+    raw[-1] = 7  # a GF(5) symbol is one byte in [0, 5)
+    frame.write_bytes(bytes(raw))
+    shares = [str(out_dir / f"share_{u}.bin") for u in range(3)]
+    code, _, err = run_cli(
+        ["decode", "--out", str(tmp_path / "x.bin"), *shares], capsys=capsys
+    )
+    assert code == 1
+    assert "out of range" in err
+
+
 def test_simulate_json_and_csv(tmp_path, capsys, monkeypatch):
     csv_path = tmp_path / "sweep.csv"
     argv = [

@@ -1,3 +1,4 @@
+import hashlib
 import io
 from itertools import combinations
 from math import comb
@@ -104,6 +105,8 @@ def test_decode_errors():
         decode(cfg, [shares[0], Share(9, shares[1].symbols)])  # u out of range
     with pytest.raises(DecodeError):
         decode(cfg, [shares[0], Share(1, np.array([1, 2]))])  # length mismatch
+    with pytest.raises(DecodeError, match="out of range"):
+        decode(cfg, [shares[0], Share(1, np.array([5]))])  # symbol >= q
 
 
 def test_decode_ignores_extra_shares():
@@ -239,6 +242,25 @@ def test_share_file_two_byte_symbols():
     assert np.array_equal(share.symbols, shares[1].symbols)
 
 
+def test_encode_shares_are_narrow_views():
+    for field, dtype in ((F16, np.uint8), (make_field(257), np.uint16)):
+        cfg = CodecConfig(field, 3, n=5)
+        shares = encode(cfg, np.arange(60).reshape(20, 3) % field.q)
+        assert all(s.symbols.dtype == dtype for s in shares)
+        assert all(s.symbols.flags.c_contiguous for s in shares)
+        assert shares[0].symbols.base is not None
+        assert all(s.symbols.base is shares[0].symbols.base for s in shares)  # one buffer
+
+
+def test_write_share_rejects_out_of_range_symbols():
+    for field, bad in ((F5, 5), (F256, 256), (F256, -1), (make_field(2, 16), 65536)):
+        cfg = CodecConfig(field, 2)
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match="out of range"):
+            write_share(buf, cfg, Share(0, np.array([1, bad])), 2)
+        assert buf.getvalue() == b""  # nothing written
+
+
 def test_share_frame_errors():
     cfg = CodecConfig(F5, 2, "supplemented_pascal")
     shares = encode(cfg, [[1, 2]])
@@ -251,3 +273,28 @@ def test_share_frame_errors():
         read_share(io.BytesIO(raw[:4] + b"\x09" + raw[5:]))
     with pytest.raises(DecodeError, match="truncated"):
         read_share(io.BytesIO(raw[:10]))
+
+
+# Digest over every frame (in coordinate order) that encode + write_share make
+# from 3001 seeded bytes.  Pins the frame bytes, symbol widths and framing.
+GOLDEN_FRAMES = [
+    ((2, 8), 8, None, 1, "e5644435037b09f7d0b3d0f4e31dc373074491e4a3ca9ffd9dfe5f12a20c7c58"),
+    ((257, 1), 16, 20, 2, "4600f4506bf4a98a8cd216c94e10bb2cdaae49a72438ead1ae6c6f06e320ca39"),
+    ((3, 2), 3, None, 3, "62e89240a6959ddbab1e72a94737d185157eb3e73d9be76dabccce5cd1cfdb55"),
+    ((2, 16), 4, 12, 4, "4406828b6ee02619109bed19f9231c53b1fb98580e6eaa58224f6fc9c0f31fea"),
+]
+
+
+@pytest.mark.parametrize(
+    "ph,k,n,seed,expected", GOLDEN_FRAMES, ids=["gf256", "gf257", "gf9", "gf65536"]
+)
+def test_share_frames_golden(ph, k, n, seed, expected):
+    cfg = CodecConfig(make_field(*ph), k, n=n)
+    data = np.random.default_rng(seed).integers(0, 256, 3001, dtype=np.uint8).tobytes()
+    words, length = bytes_to_words(cfg, data)
+    digest = hashlib.sha256()
+    for share in encode(cfg, words):
+        buf = io.BytesIO()
+        write_share(buf, cfg, share, length)
+        digest.update(buf.getvalue())
+    assert digest.hexdigest() == expected

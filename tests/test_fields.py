@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 import sympy
 
+from pmds import kernels
 from pmds.fields import (
     FIELD_ORDER_CAP,
     GF,
@@ -173,6 +175,18 @@ def test_against_reference_oracle(small_field):
             assert f.mul(a, b) == ref.mul(a, b)
         if a:
             assert f.inv(a) == ref.inv(a)
+
+
+def test_vectorized_ops_match_scalar(small_field):
+    f = small_field
+    p, h, q, logt, expt = f.tables()
+    a = np.arange(q, dtype=np.int64)
+    for b in range(q):
+        bb = np.full(q, b, dtype=np.int64)
+        assert kernels.v_add(a, bb, p, h).tolist() == [f.add(int(x), b) for x in a]
+        assert kernels.v_sub(a, bb, p, h).tolist() == [f.sub(int(x), b) for x in a]
+        assert kernels.v_mul(a, bb, q, logt, expt).tolist() == [f.mul(int(x), b) for x in a]
+    assert kernels.v_neg(a, p, h).tolist() == [f.neg(int(x)) for x in a]
 
 
 def test_gf256_sampled_against_oracle():
