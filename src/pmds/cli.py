@@ -6,8 +6,12 @@ selftest.  Matrices travel between subcommands in the text format of
 on stdout; diagnostics go to stderr only.  Exit codes: 0 success, 1 domain
 failure (e.g. a false MDS verdict), 2 usage error.
 
-PMDS_SUBSET_CAP overrides the default MDS enumeration cap; PMDS_BACKEND
-selects the numba or numpy kernel backend (see ``kernels``).
+``verify-mds`` and ``selftest`` check every k-column subset with one
+single-threaded scan that shares the elimination of each column prefix
+(``kernels.mds_scan``); the verdict names the lexicographically first
+dependent subset and counts the subsets up to it.  PMDS_SUBSET_CAP
+overrides the default MDS enumeration cap; PMDS_BACKEND selects the numba
+or numpy backend of the other kernels (see ``kernels``).
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ def _cmd_gen_matrix(args) -> int:
 
 def _cmd_verify_mds(args) -> int:
     m = _read_matrix(args.infile)
-    verdict = codes.is_mds(m, cap=_subset_cap(args), threads=args.threads)
+    verdict = codes.is_mds(m, cap=_subset_cap(args))
     print(
         json.dumps(
             {
@@ -158,8 +162,8 @@ def _cmd_selftest(args) -> int:
         for k in range(1, min(q, 6) + 1):
             h_matrix = pascal.supplemented_pascal(field, k)
             p_matrix = pascal.truncated_pascal(field, k)
-            vh = codes.is_mds(h_matrix, cap=cap, threads=args.threads)
-            vp = codes.is_mds(p_matrix, cap=cap, threads=args.threads)
+            vh = codes.is_mds(h_matrix, cap=cap)
+            vp = codes.is_mds(p_matrix, cap=cap)
             zeros_ok = (
                 matrices.count_zeros(p_matrix) == k * (k - 1) // 2
                 and matrices.count_zeros(h_matrix) == k * (k - 1) // 2 + (k - 1)
@@ -192,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-mds", help="exhaustively verify the any-k-columns property")
     p.add_argument("--in", dest="infile", required=True, help="matrix file, or - for stdin")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--cap", type=int, default=None, help="subset enumeration cap")
     p.set_defaults(func=_cmd_verify_mds)
 
@@ -227,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("selftest", help="verify the construction across the standard grid")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_selftest)
 

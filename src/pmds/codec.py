@@ -124,7 +124,9 @@ def decode(config: CodecConfig, shares) -> np.ndarray:
     """Reconstruct the message words from any >= K shares with distinct u.
 
     Uses the K lowest coordinate indices; one elimination of the K x K
-    column matrix covers all words.
+    column matrix covers all words.  Shares at further coordinates are
+    re-encoded from the solution and must match it, so a corrupted share
+    among more than K does not decode in silence.
     """
     shares = list(shares)
     seen: dict[int, Share] = {}
@@ -136,9 +138,10 @@ def decode(config: CodecConfig, shares) -> np.ndarray:
         raise DecodeError(
             f"need at least K = {config.k} distinct coordinates, got {len(seen)}"
         )
-    chosen = [seen[u] for u in sorted(seen)[: config.k]]
+    coords = sorted(seen)
+    chosen = [seen[u] for u in coords[: config.k]]
     length = len(chosen[0].symbols)
-    if any(len(s.symbols) != length for s in chosen):
+    if any(len(s.symbols) != length for s in seen.values()):
         raise DecodeError("shares carry inconsistent symbol-sequence lengths")
     gen = generator_matrix(config)
     cols = gen.data[:, [s.u for s in chosen]]  # (K, K)
@@ -155,6 +158,14 @@ def decode(config: CodecConfig, shares) -> np.ndarray:
         solution = solve_many(system, rhs)  # (K, W)
     except SingularMatrixError:
         raise DecodeError("singular decode system: share data is corrupt") from None
+    surplus = coords[config.k :]
+    if surplus:
+        expected = kernels.matmul(gen.data[:, surplus].T, solution, *config.field.tables())
+        for u, row in zip(surplus, expected):
+            if not np.array_equal(row, seen[u].symbols):
+                raise DecodeError(
+                    f"share {u} disagrees with the other shares: share data is corrupt"
+                )
     return solution.T.copy()  # (W, K)
 
 
@@ -301,7 +312,11 @@ def read_share(stream: io.RawIOBase) -> tuple[FrameHeader, Share]:
     header = FrameHeader(
         p=p, h=h, k=k, kind=GENERATOR_KINDS[kind_code], u=u, payload_byte_length=byte_length
     )
-    width = _symbol_width(header.field.q)
+    try:
+        field = header.field
+    except ValueError as e:
+        raise DecodeError(f"invalid field in share header: {e}") from None
+    width = _symbol_width(field.q)
     body = stream.read()
     if len(body) % width:
         raise DecodeError("share payload is not a whole number of symbols")

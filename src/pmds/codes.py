@@ -1,8 +1,9 @@
 """MDS verification and generator constructions.
 
-``is_mds`` is the exhaustive checker: it enumerates every k-column subset in
-lexicographic order and rank-checks each one, returning the first dependent
-subset as a reproducible witness.  The other constructions are the
+``is_mds`` is the exhaustive checker: it covers every k-column subset in
+lexicographic order (``kernels.mds_scan``, which shares the elimination of
+each column prefix among the subsets through it) and returns the first
+dependent subset as a reproducible witness.  The other constructions are the
 Reed-Solomon generator (power rows over nonzero evaluation points), the
 unit-column supplement, the uniform-matroid representation (a column prefix
 of the supplemented Pascal matrix), and the cancellation step that exposes
@@ -11,7 +12,6 @@ the supplemented matrix's block structure.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -23,9 +23,6 @@ from .matrices import MatrixGF
 from .pascal import supplemented_pascal
 
 DEFAULT_SUBSET_CAP = 10**7
-
-# Subset count below which threading is pure overhead.
-_PARALLEL_THRESHOLD = 4096
 
 
 class SubsetCapExceeded(RuntimeError):
@@ -39,34 +36,19 @@ class MdsVerdict:
     subsets_checked: int
 
 
-def unrank_combination(index: int, n: int, k: int) -> list[int]:
-    """The index-th k-subset of [0, n) in lexicographic order."""
-    if not 0 <= index < comb(n, k):
-        raise ValueError(f"combination index {index} out of range")
-    combo = []
-    x = 0
-    for slot in range(k):
-        remaining = k - slot - 1
-        while comb(n - x - 1, remaining) <= index:
-            index -= comb(n - x - 1, remaining)
-            x += 1
-        combo.append(x)
-        x += 1
-    return combo
+def lex_rank(combo, n: int) -> int:
+    """Position of the sorted subset combo of [0, n) in lexicographic order."""
+    k = len(combo)
+    return comb(n, k) - 1 - sum(comb(n - 1 - c, k - i) for i, c in enumerate(combo))
 
 
-def _scan_chunk(data, start_rank, count, n, k, tables):
-    combo = np.array(unrank_combination(start_rank, n, k), dtype=np.int64)
-    found, checked = kernels.mds_scan(data, combo, count, *tables)
-    return int(found), combo.tolist(), int(checked)
-
-
-def is_mds(m: MatrixGF, cap: int = DEFAULT_SUBSET_CAP, threads: int = 1) -> MdsVerdict:
+def is_mds(m: MatrixGF, cap: int = DEFAULT_SUBSET_CAP) -> MdsVerdict:
     """Exhaustively verify that every k columns of m are independent.
 
-    Chunks of the lexicographic subset sequence may be verified in parallel;
-    the merged verdict (earliest witness) is identical to the single-threaded
-    one.  Raises SubsetCapExceeded when C(n, k) > cap.
+    The verdict is that of checking every k-subset in lexicographic order and
+    stopping at the first dependent one: subsets_checked is the witness's
+    lexicographic rank + 1, or C(n, k) when there is no witness.  Raises
+    SubsetCapExceeded when C(n, k) > cap.
     """
     k, n = m.rows, m.cols
     if n < k:
@@ -76,27 +58,10 @@ def is_mds(m: MatrixGF, cap: int = DEFAULT_SUBSET_CAP, threads: int = 1) -> MdsV
         raise SubsetCapExceeded(
             f"C({n},{k}) = {total} subsets exceeds the enumeration cap {cap}"
         )
-    tables = m.field.tables()
-    data = m.data
-
-    if threads <= 1 or total < _PARALLEL_THRESHOLD:
-        found, witness, checked = _scan_chunk(data, 0, total, n, k, tables)
-        if found:
-            return MdsVerdict(False, witness, checked)
-        return MdsVerdict(True, None, checked)
-
-    bounds = np.linspace(0, total, threads + 1, dtype=np.int64)
-    jobs = [
-        (int(lo), int(hi - lo)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-    ]
-    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-        results = list(
-            pool.map(lambda j: (j[0], _scan_chunk(data, j[0], j[1], n, k, tables)), jobs)
-        )
-    for start, (found, witness, checked) in results:  # chunk order = lex order
-        if found:
-            return MdsVerdict(False, witness, start + checked)
-    return MdsVerdict(True, None, total)
+    witness = kernels.mds_scan(m.data, *m.field.tables())
+    if witness is None:
+        return MdsVerdict(True, None, total)
+    return MdsVerdict(False, witness, lex_rank(witness, n) + 1)
 
 
 def rs_generator(field: GF, k: int, n: int) -> MatrixGF:

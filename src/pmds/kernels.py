@@ -1,13 +1,19 @@
 """Hot numeric kernels: exact elimination over GF(q), products, the MDS scan.
 
-Two backends produce the same element values:
+Rank, solve and product have two backends that produce the same element
+values:
 
 * ``numba`` -- the loop kernels below compiled with ``@njit`` (default
   whenever numba imports cleanly; numba is an optional extra);
 * ``numpy`` -- interpreted Python for small systems, numpy row operations
   for large ones, and a table-driven product kernel; no compilation step.
 
-``PMDS_BACKEND=numba|numpy`` selects the backend at import time.
+``PMDS_BACKEND=numba|numpy`` selects the backend at import time.  The MDS
+scan (``mds_scan``) is one numpy implementation on both backends: a
+depth-first walk of the lexicographic combination tree that eliminates each
+column prefix once, for all the subsets through it, and tests every pair
+that completes a (k-2)-column prefix with one vectorised 2 x 2 determinant
+grid.
 
 Kernels take field arithmetic unpacked as ``(p, h, q, log, exp)`` int/array
 arguments (see ``GF.tables``): addition is digit-wise mod p on base-p digit
@@ -183,35 +189,6 @@ def _matmul(a, b, p, h, q, logt, expt):
     return out
 
 
-def _mds_scan(m, combo, max_count, p, h, q, logt, expt):
-    """Scan k-column subsets in lexicographic order, starting at ``combo``.
-
-    Examines at most max_count subsets (or until the sequence ends).
-    Returns (found, checked): found = 1 leaves the first rank-deficient
-    subset in ``combo`` with checked counting it; found = 0 means every
-    examined subset had full rank.
-    """
-    k, n = m.shape
-    sub = np.empty((k, k), dtype=np.int64)
-    checked = 0
-    while checked < max_count:
-        for i in range(k):
-            for j in range(k):
-                sub[i, j] = m[i, combo[j]]
-        checked += 1
-        if _rank_in_place(sub, p, h, q, logt, expt) < k:
-            return 1, checked
-        i = k - 1
-        while i >= 0 and combo[i] == n - k + i:
-            i -= 1
-        if i < 0:
-            break
-        combo[i] += 1
-        for j in range(i + 1, k):
-            combo[j] = combo[j - 1] + 1
-    return 0, checked
-
-
 if HAVE_NUMBA:
     _jit = njit(cache=True, nogil=True)
     _s_add = _jit(_s_add)
@@ -221,7 +198,6 @@ if HAVE_NUMBA:
     _rank_in_place = _jit(_rank_in_place)
     _solve_in_place = _jit(_solve_in_place)
     _matmul = _jit(_matmul)
-    _mds_scan = _jit(_mds_scan)
 
 
 # -- vectorized element ops (numpy; shared by builders and the numpy backend) --
@@ -292,7 +268,9 @@ def _field_tables(logt, expt):
 
     ``log_ext`` is ``log`` as intp with ``log_ext[0]`` set to a sentinel
     past every sum of two logs; ``exp_ext[i]`` is ``exp[i mod (q-1)]`` below
-    the sentinel and 0 from it on, in the narrow symbol dtype.
+    the sentinel and 0 from it on, in the narrow symbol dtype.  The zero tail
+    runs to twice the sentinel, so ``exp_ext[log_ext[a] + log_ext[b]]`` is
+    the product a * b for every pair of elements, zeros included.
     """
     hit = _table_cache.get(id(logt))
     if hit is None or hit[0] is not logt:
@@ -300,7 +278,7 @@ def _field_tables(logt, expt):
         sentinel = 2 * qm - 1
         log_ext = logt.astype(np.intp)
         log_ext[0] = sentinel
-        exp_ext = np.zeros(sentinel + qm, dtype=np.uint8 if qm < 256 else np.uint16)
+        exp_ext = np.zeros(2 * sentinel + 1, dtype=np.uint8 if qm < 256 else np.uint16)
         exp_ext[:sentinel] = expt[np.arange(sentinel) % qm]
         hit = (logt, logt.tolist(), expt.tolist(), log_ext, exp_ext)
         _table_cache[id(logt)] = hit
@@ -502,22 +480,94 @@ def _product_rows(coef, x, p, h, logt, expt):
     return out
 
 
-def _mds_scan_numpy(m, combo, max_count, p, h, q, logt, expt):
-    k, n = m.shape
-    checked = 0
-    while checked < max_count:
-        sub = m[:, combo]
-        checked += 1
-        if _rank_numpy(sub, p, h, q, logt, expt) < k:
-            return 1, checked
-        i = k - 1
-        while i >= 0 and combo[i] == n - k + i:
-            i -= 1
-        if i < 0:
-            break
-        combo[i] += 1
-        combo[i + 1 :] = combo[i] + np.arange(1, k - i)
-    return 0, checked
+# -- the MDS scan (one implementation on both backends) ---------------------------
+
+
+def mds_scan(m, p, h, q, logt, expt):
+    """The lexicographically first linearly dependent k-column subset of the
+    k x n matrix m, as a list of column indices, or None if there is none.
+
+    A depth-first walk of the lexicographic combination tree.  A node is a
+    column prefix and holds R: the coordinates of every later column in the
+    quotient space modulo the span of the prefix, k - depth rows.  Taking
+    column c is one elimination step on R; an all-zero R[:, c] makes every
+    subset through prefix + c dependent, and the first of those is prefix + c
+    followed by the next consecutive columns.  At depth k - 2, R has two rows
+    and prefix + {j, l} is dependent iff R[0, j] R[1, l] = R[1, j] R[0, l]:
+    one vectorised test over the grid of pairs, whose row-major order is the
+    lexicographic order.  The walk keeps one R per depth at most, so its
+    memory is O(k * k * n) entries plus one ``_BLOCK`` of the pair grid.
+    """
+    k = m.shape[0]
+    lt, _, log_ext, exp_ext = _field_tables(logt, expt)
+    if k == 1:
+        zero = np.flatnonzero(m[0] == 0)
+        return [int(zero[0])] if zero.size else None
+    qm = q - 1
+    sentinel = int(log_ext[0])
+    # Nodes with children left to visit: [prefix, R over columns base.., base,
+    # offset of the next child].  A node's last child replaces it, so a k = n
+    # scan holds one R at a time.
+    stack = [[[], np.asarray(m, dtype=np.int64), 0, 0]]
+    while stack:
+        node = stack[-1]
+        prefix, r, base, t = node
+        rows, cols = r.shape
+        if rows == 2:
+            stack.pop()
+            pair = _dependent_pair(r, log_ext, exp_ext)
+            if pair is not None:
+                return prefix + [base + pair[0], base + pair[1]]
+            continue
+        if t == cols - rows:  # the last child that leaves room for the rest
+            stack.pop()
+        else:
+            node[3] = t + 1
+        col = r[:, t].tolist()
+        piv = next((i for i, x in enumerate(col) if x), None)
+        if piv is None:
+            return prefix + list(range(base + t, base + t + rows))
+        # Coordinates of columns t+1.. modulo column t: subtract col_i / pivot
+        # times the pivot row from every other row, then drop the pivot row.
+        li = qm - lt[col[piv]]
+        coef = [(lt[x] + li) % qm if x else sentinel for x in col]
+        del coef[piv]
+        prod = exp_ext[np.array(coef)[:, None] + log_ext[r[piv, t + 1 :]]]
+        rest = r[[i for i in range(rows) if i != piv], t + 1 :]
+        if p == 2:
+            rest ^= prod
+        elif h == 1:
+            rest = (rest - prod) % p
+        else:
+            rest = v_sub(rest, prod, p, h)
+        stack.append([prefix + [base + t], rest, base + t + 1, 0])
+    return None
+
+
+def _dependent_pair(r, log_ext, exp_ext):
+    """The first (j, l) with j < l, in row-major order, whose columns of the
+    two-row r are dependent, or None.  Works in row blocks of at most
+    ``_BLOCK`` grid entries, so memory does not grow with the pair count."""
+    l0, l1 = log_ext[r]
+    cols = l0.size
+    step = max(1, _BLOCK // cols)
+    for j0 in range(0, cols - 1, step):
+        j1 = min(j0 + step, cols - 1)
+        # Entry (j - j0, l - j0 - 1) compares r0[j] r1[l] with r1[j] r0[l].
+        # The test is symmetric in j and l, and a hit at l < j is preceded in
+        # row-major order by its mirror at row l of the same block, so only
+        # the always-equal diagonal l = j needs masking.
+        hit = (
+            exp_ext[l0[j0:j1, None] + l1[j0 + 1 :]] == exp_ext[l1[j0:j1, None] + l0[j0 + 1 :]]
+        )
+        width = hit.shape[1]
+        flat = hit.reshape(-1)
+        flat[width :: width + 1] = False
+        at = int(flat.argmax())
+        if flat[at]:
+            j, l = divmod(at, width)
+            return j0 + j, j0 + 1 + l
+    return None
 
 
 # -- public backend bindings ----------------------------------------------------
@@ -526,9 +576,7 @@ if BACKEND == "numba":
     rank_in_place = _rank_in_place
     solve_in_place = _solve_in_place
     matmul = _matmul
-    mds_scan = _mds_scan
 else:
     rank_in_place = _rank_numpy
     solve_in_place = _solve_numpy
     matmul = _matmul_numpy
-    mds_scan = _mds_scan_numpy

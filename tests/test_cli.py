@@ -158,6 +158,53 @@ def test_decode_out_of_range_symbol_domain_failure(tmp_path, capsys, monkeypatch
     assert "out of range" in err
 
 
+def _gf5_shares(tmp_path, capsys):
+    """A 1000-byte file encoded at GF(5), K=3; returns (source, share dir)."""
+    src = tmp_path / "m.bin"
+    src.write_bytes(bytes(range(256)) * 3 + bytes(range(232)))
+    out_dir = tmp_path / "s"
+    run_cli(
+        ["encode", "--field", "5", "--k", "3", "--in", str(src), "--out-dir", str(out_dir)],
+        capsys=capsys,
+    )
+    return src, out_dir
+
+
+def test_decode_corrupt_surplus_share_domain_failure(tmp_path, capsys):
+    src, out_dir = _gf5_shares(tmp_path, capsys)
+    frame = out_dir / "share_0.bin"
+    raw = bytearray(frame.read_bytes())
+    raw[-1] = (raw[-1] + 1) % 5  # an in-range GF(5) symbol, changed
+    frame.write_bytes(bytes(raw))
+    out = tmp_path / "x.bin"
+    shares = [str(out_dir / f"share_{u}.bin") for u in range(4)]
+    code, _, err = run_cli(["decode", "--out", str(out), *shares], capsys=capsys)
+    assert code == 1
+    assert "corrupt" in err
+    assert not out.exists()
+
+
+def test_decode_untouched_surplus_share(tmp_path, capsys):
+    src, out_dir = _gf5_shares(tmp_path, capsys)
+    out = tmp_path / "x.bin"
+    shares = [str(out_dir / f"share_{u}.bin") for u in (5, 0, 2, 4)]
+    code, _, _ = run_cli(["decode", "--out", str(out), *shares], capsys=capsys)
+    assert code == 0
+    assert out.read_bytes() == src.read_bytes()
+
+
+def test_decode_invalid_header_field_domain_failure(tmp_path, capsys):
+    _, out_dir = _gf5_shares(tmp_path, capsys)
+    frame = out_dir / "share_1.bin"
+    raw = bytearray(frame.read_bytes())
+    raw[5:7] = (4).to_bytes(2, "big")  # header p = 4
+    frame.write_bytes(bytes(raw))
+    shares = [str(out_dir / f"share_{u}.bin") for u in range(3)]
+    code, _, err = run_cli(["decode", "--out", str(tmp_path / "x.bin"), *shares], capsys=capsys)
+    assert code == 1
+    assert "not prime" in err
+
+
 def test_simulate_json_and_csv(tmp_path, capsys, monkeypatch):
     csv_path = tmp_path / "sweep.csv"
     argv = [
@@ -222,6 +269,101 @@ def test_selftest_small_cap(capsys, monkeypatch):
     assert lines[-1] == "ALL PASS"
     assert all(ln.startswith("PASS") for ln in lines[:-1])
     assert len(lines) - 1 == sum(min(q, 6) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16))
+
+
+# Exact stdout of `pmds selftest`: the subset counts are the scan's
+# observable output, so any change to the enumeration shows here.
+SELFTEST_GOLDEN = """\
+PASS q=2 k=1 H-subsets=3 P-subsets=2 zeros=ok
+PASS q=2 k=2 H-subsets=3 P-subsets=1 zeros=ok
+PASS q=3 k=1 H-subsets=4 P-subsets=3 zeros=ok
+PASS q=3 k=2 H-subsets=6 P-subsets=3 zeros=ok
+PASS q=3 k=3 H-subsets=4 P-subsets=1 zeros=ok
+PASS q=4 k=1 H-subsets=5 P-subsets=4 zeros=ok
+PASS q=4 k=2 H-subsets=10 P-subsets=6 zeros=ok
+PASS q=4 k=3 H-subsets=10 P-subsets=4 zeros=ok
+PASS q=4 k=4 H-subsets=5 P-subsets=1 zeros=ok
+PASS q=5 k=1 H-subsets=6 P-subsets=5 zeros=ok
+PASS q=5 k=2 H-subsets=15 P-subsets=10 zeros=ok
+PASS q=5 k=3 H-subsets=20 P-subsets=10 zeros=ok
+PASS q=5 k=4 H-subsets=15 P-subsets=5 zeros=ok
+PASS q=5 k=5 H-subsets=6 P-subsets=1 zeros=ok
+PASS q=7 k=1 H-subsets=8 P-subsets=7 zeros=ok
+PASS q=7 k=2 H-subsets=28 P-subsets=21 zeros=ok
+PASS q=7 k=3 H-subsets=56 P-subsets=35 zeros=ok
+PASS q=7 k=4 H-subsets=70 P-subsets=35 zeros=ok
+PASS q=7 k=5 H-subsets=56 P-subsets=21 zeros=ok
+PASS q=7 k=6 H-subsets=28 P-subsets=7 zeros=ok
+PASS q=8 k=1 H-subsets=9 P-subsets=8 zeros=ok
+PASS q=8 k=2 H-subsets=36 P-subsets=28 zeros=ok
+PASS q=8 k=3 H-subsets=84 P-subsets=56 zeros=ok
+PASS q=8 k=4 H-subsets=126 P-subsets=70 zeros=ok
+PASS q=8 k=5 H-subsets=126 P-subsets=56 zeros=ok
+PASS q=8 k=6 H-subsets=84 P-subsets=28 zeros=ok
+PASS q=9 k=1 H-subsets=10 P-subsets=9 zeros=ok
+PASS q=9 k=2 H-subsets=45 P-subsets=36 zeros=ok
+PASS q=9 k=3 H-subsets=120 P-subsets=84 zeros=ok
+PASS q=9 k=4 H-subsets=210 P-subsets=126 zeros=ok
+PASS q=9 k=5 H-subsets=252 P-subsets=126 zeros=ok
+PASS q=9 k=6 H-subsets=210 P-subsets=84 zeros=ok
+PASS q=11 k=1 H-subsets=12 P-subsets=11 zeros=ok
+PASS q=11 k=2 H-subsets=66 P-subsets=55 zeros=ok
+PASS q=11 k=3 H-subsets=220 P-subsets=165 zeros=ok
+PASS q=11 k=4 H-subsets=495 P-subsets=330 zeros=ok
+PASS q=11 k=5 H-subsets=792 P-subsets=462 zeros=ok
+PASS q=11 k=6 H-subsets=924 P-subsets=462 zeros=ok
+PASS q=13 k=1 H-subsets=14 P-subsets=13 zeros=ok
+PASS q=13 k=2 H-subsets=91 P-subsets=78 zeros=ok
+PASS q=13 k=3 H-subsets=364 P-subsets=286 zeros=ok
+PASS q=13 k=4 H-subsets=1001 P-subsets=715 zeros=ok
+PASS q=13 k=5 H-subsets=2002 P-subsets=1287 zeros=ok
+PASS q=13 k=6 H-subsets=3003 P-subsets=1716 zeros=ok
+PASS q=16 k=1 H-subsets=17 P-subsets=16 zeros=ok
+PASS q=16 k=2 H-subsets=136 P-subsets=120 zeros=ok
+PASS q=16 k=3 H-subsets=680 P-subsets=560 zeros=ok
+PASS q=16 k=4 H-subsets=2380 P-subsets=1820 zeros=ok
+PASS q=16 k=5 H-subsets=6188 P-subsets=4368 zeros=ok
+PASS q=16 k=6 H-subsets=12376 P-subsets=8008 zeros=ok
+ALL PASS
+"""
+
+
+def test_selftest_golden_stdout(capsys):
+    code, out, _ = run_cli(["selftest"], capsys=capsys)
+    assert code == 0
+    assert out == SELFTEST_GOLDEN
+
+
+# Dependent matrices with the exact verdict JSON of `pmds verify-mds`.  The
+# first is H over GF(8), k=4, plus the column col1 + col5; the second is H
+# over GF(9), k=3, with col2 + 5*col6 inserted at index 8.
+VERIFY_GOLDEN = [
+    (
+        "8 4 10\n"
+        "1 1 1 1 1 1 1 1 0 0\n"
+        "0 1 2 3 4 5 6 7 0 4\n"
+        "0 0 3 3 1 1 2 2 0 1\n"
+        "0 0 0 1 2 4 1 6 1 4\n",
+        '{"is_mds": false, "witness": [0, 1, 5, 9], "subsets_checked": 22}\n',
+    ),
+    (
+        "9 3 11\n"
+        "1 1 1 1 1 1 1 1 3 1 0\n"
+        "0 1 2 3 4 5 6 7 3 8 0\n"
+        "0 0 1 4 7 2 7 4 7 2 1\n",
+        '{"is_mds": false, "witness": [0, 5, 8], "subsets_checked": 33}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("matrix_text,verdict", VERIFY_GOLDEN)
+def test_verify_mds_golden_witness(matrix_text, verdict, capsys, monkeypatch):
+    code, out, _ = run_cli(
+        ["verify-mds", "--in", "-"], stdin_text=matrix_text, capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 1
+    assert out == verdict
 
 
 def test_shell_pipe_composition():

@@ -113,7 +113,20 @@ def test_decode_ignores_extra_shares():
     cfg = CodecConfig(F5, 3, "supplemented_pascal")
     msg = [[1, 2, 3], [4, 0, 1]]
     shares = encode(cfg, msg)
-    assert decode(cfg, shares).tolist() == msg  # all six, takes lowest three
+    assert decode(cfg, shares).tolist() == msg  # all six: lowest three solve, rest agree
+
+
+def test_decode_rejects_corrupt_surplus_share():
+    cfg = CodecConfig(F5, 3, "supplemented_pascal")
+    msg = [[1, 2, 3], [4, 0, 1]]
+    for bad_u in (0, 4):  # one of the K solving shares, or a surplus one
+        shares = encode(cfg, msg)
+        symbols = np.array(shares[bad_u].symbols, dtype=np.int64)
+        symbols[1] = (symbols[1] + 1) % 5  # still in range
+        shares[bad_u] = Share(bad_u, symbols)
+        with pytest.raises(DecodeError, match="disagrees"):
+            decode(cfg, shares[:5])
+        assert decode(cfg, [s for s in shares if s.u != bad_u]).tolist() == msg
 
 
 @pytest.mark.parametrize(
@@ -273,6 +286,20 @@ def test_share_frame_errors():
         read_share(io.BytesIO(raw[:4] + b"\x09" + raw[5:]))
     with pytest.raises(DecodeError, match="truncated"):
         read_share(io.BytesIO(raw[:10]))
+
+
+@pytest.mark.parametrize(
+    "p,h,reason",
+    [(4, 1, "not prime"), (5, 0, "extension degree"), (2, 17, "exceeds cap")],
+)
+def test_share_frame_invalid_field_is_decode_error(p, h, reason):
+    cfg = CodecConfig(F5, 2, "supplemented_pascal")
+    buf = io.BytesIO()
+    write_share(buf, cfg, encode(cfg, [[1, 2]])[0], 2)
+    raw = bytearray(buf.getvalue())
+    raw[5:8] = p.to_bytes(2, "big") + bytes([h])  # header fields p (u16 BE), h (u8)
+    with pytest.raises(DecodeError, match=reason):
+        read_share(io.BytesIO(bytes(raw)))
 
 
 # Digest over every frame (in coordinate order) that encode + write_share make

@@ -4,15 +4,16 @@ from math import comb
 import numpy as np
 import pytest
 
+from pmds import kernels
 from pmds.codes import (
     MdsVerdict,
     SubsetCapExceeded,
     decompose_supplemented,
     is_mds,
+    lex_rank,
     rs_generator,
     supplement,
     uniform_matroid_representation,
-    unrank_combination,
 )
 from pmds.fields import field_from_order, make_field
 from pmds.matrices import MatrixGF, rank, submatrix_columns
@@ -55,16 +56,52 @@ def test_is_mds_duplicate_column_witness():
     assert v.witness is not None and 0 in v.witness and 4 in v.witness
 
 
-def test_is_mds_matches_brute_force():
+# Dependent matrices with a known lexicographically first witness.
+STRUCTURED = [
+    # k = 1: a nonzero test per column.
+    (F5, [[3, 1, 0, 2]], [2]),
+    # A zero column at index 0: the prefix [0] is dependent at depth 0.
+    (F5, [[0, 1, 0, 1, 2], [0, 0, 1, 1, 3], [0, 2, 2, 1, 4], [0, 3, 1, 4, 4]], [0, 1, 2, 3]),
+    # Column 2 repeats column 0 inside the first prefix (k = 5, depth 2).
+    (make_field(3, 2), [[1, 4, 1, 0, 2, 8], [2, 0, 2, 1, 5, 3], [0, 7, 0, 6, 1, 1],
+                        [5, 3, 5, 2, 0, 4], [8, 1, 8, 3, 7, 6]], [0, 1, 2, 3, 4]),
+    # Only the very last subset is dependent.
+    (F5, [[1, 0, 1, 1, 2], [0, 1, 1, 2, 4]], [3, 4]),
+    (make_field(7), [[1, 5, 0, 4, 0, 6], [3, 2, 4, 3, 2, 4], [2, 4, 0, 0, 5, 4]], [3, 4, 5]),
+]
+
+
+def _brute_force_cases():
     rng = np.random.RandomState(5)
-    for f in (make_field(2), make_field(3), F4, F5):
-        for _ in range(15):
-            k = rng.randint(1, 4)
-            n = rng.randint(k, k + 4)
-            m = MatrixGF(f, rng.randint(0, f.q, size=(k, n)))
-            got = is_mds(m)
-            want = brute_force_verdict(m)
-            assert got == want
+    fields = (make_field(2), make_field(3), F4, F5, make_field(2, 3), make_field(2, 4),
+              make_field(3, 2), make_field(5, 2))
+    for f in fields:
+        for zero_frac in (0.0, 0.6):
+            for _ in range(8):
+                k = rng.randint(1, 6)
+                n = rng.randint(k, k + 4)
+                vals = rng.randint(1, f.q, size=(k, n))
+                yield MatrixGF(f, np.where(rng.rand(k, n) < zero_frac, 0, vals))
+        for k in (1, 2, 4):  # k = n: one subset
+            yield MatrixGF(f, rng.randint(0, f.q, size=(k, k)))
+    for f, rows, _ in STRUCTURED:
+        yield MatrixGF(f, rows)
+    yield supplemented_pascal(make_field(3, 2), 3)
+    yield supplemented_pascal(make_field(2, 3), 4)
+
+
+def test_is_mds_matches_brute_force(monkeypatch):
+    cases = [(m, brute_force_verdict(m)) for m in _brute_force_cases()]
+    assert any(want.is_mds for _, want in cases)
+    assert sum(not want.is_mds for _, want in cases) > len(cases) // 3
+    for f, rows, witness in STRUCTURED:
+        m = MatrixGF(f, rows)
+        assert brute_force_verdict(m).witness == witness
+    # _BLOCK = 1 and 8 split the pair grid of every case into several blocks.
+    for block in (kernels._BLOCK, 8, 1):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        for m, want in cases:
+            assert is_mds(m) == want, (block, m.field.q, m.tolist())
 
 
 def test_is_mds_shape_and_cap():
@@ -75,24 +112,11 @@ def test_is_mds_shape_and_cap():
         is_mds(big, cap=100)
 
 
-def test_is_mds_threads_match_single():
-    # C(17,5) and C(18,5) both exceed the parallel threshold, so threads=3
-    # really forks; verdicts must be identical to the sequential scan.
-    f16 = make_field(2, 4)
-    ok = supplemented_pascal(f16, 5)
-    assert is_mds(ok, threads=3) == is_mds(ok, threads=1)
-    base = truncated_pascal(f16, 5)
-    bad = MatrixGF(f16, np.hstack([base.data, base.data[:, 2:3]]))
-    assert is_mds(bad, threads=3) == is_mds(bad, threads=1)
-
-
-def test_unrank_combination():
+def test_lex_rank():
     n, k = 8, 3
-    expected = list(combinations(range(n), k))
-    for i, combo in enumerate(expected):
-        assert unrank_combination(i, n, k) == list(combo)
-    with pytest.raises(ValueError):
-        unrank_combination(comb(n, k), n, k)
+    for i, combo in enumerate(combinations(range(n), k)):
+        assert lex_rank(combo, n) == i
+    assert lex_rank([0, 1, 2, 3], 4) == 0
 
 
 def test_rs_generator_gf5():
