@@ -10,8 +10,7 @@ failure (e.g. a false MDS verdict), 2 usage error.
 single-threaded scan that shares the elimination of each column prefix
 (``kernels.mds_scan``); the verdict names the lexicographically first
 dependent subset and counts the subsets up to it.  PMDS_SUBSET_CAP
-overrides the default MDS enumeration cap; PMDS_BACKEND selects the numba
-or numpy backend of the other kernels (see ``kernels``).
+overrides the default MDS enumeration cap.
 """
 
 from __future__ import annotations

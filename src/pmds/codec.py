@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .codes import rs_generator, supplement
+from .codes import rs_generator
 from .fields import GF, make_field
 from .matrices import MatrixGF, SingularMatrixError, solve_many
-from .pascal import supplemented_pascal, truncated_pascal
+from .pascal import supplement, supplemented_pascal, truncated_pascal
 
 GENERATOR_KINDS = ("supplemented_pascal", "truncated_pascal", "rs", "supplemented_rs")
 _KIND_CODE = {kind: i for i, kind in enumerate(GENERATOR_KINDS)}
@@ -121,19 +121,24 @@ def encode(config: CodecConfig, message) -> list[Share]:
 
 
 def decode(config: CodecConfig, shares) -> np.ndarray:
-    """Reconstruct the message words from any >= K shares with distinct u.
+    """Reconstruct the message words from shares at >= K distinct coordinates.
 
     Uses the K lowest coordinate indices; one elimination of the K x K
     column matrix covers all words.  Shares at further coordinates are
-    re-encoded from the solution and must match it, so a corrupted share
-    among more than K does not decode in silence.
+    re-encoded from the solution and must match it, and copies of a share at
+    one coordinate must be identical, so a corrupted share among more than K
+    does not decode in silence.
     """
     shares = list(shares)
     seen: dict[int, Share] = {}
     for s in shares:
         if not 0 <= s.u < config.n:
             raise DecodeError(f"share coordinate {s.u} out of range [0, {config.n})")
-        seen.setdefault(s.u, s)
+        kept = seen.setdefault(s.u, s)
+        if kept is not s and not np.array_equal(kept.symbols, s.symbols):
+            raise DecodeError(
+                f"two shares at coordinate {s.u} disagree: share data is corrupt"
+            )
     if len(seen) < config.k:
         raise DecodeError(
             f"need at least K = {config.k} distinct coordinates, got {len(seen)}"

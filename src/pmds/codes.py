@@ -5,9 +5,10 @@ lexicographic order (``kernels.mds_scan``, which shares the elimination of
 each column prefix among the subsets through it) and returns the first
 dependent subset as a reproducible witness.  The other constructions are the
 Reed-Solomon generator (power rows over nonzero evaluation points), the
-unit-column supplement, the uniform-matroid representation (a column prefix
-of the supplemented Pascal matrix), and the cancellation step that exposes
-the supplemented matrix's block structure.
+uniform-matroid representation (a column prefix of the supplemented Pascal
+matrix), and the cancellation step that exposes the supplemented matrix's
+block structure.  The unit-column ``supplement`` is ``pascal.supplement``,
+re-exported here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import kernels
 from .fields import GF
 from .matrices import MatrixGF
-from .pascal import supplemented_pascal
+from .pascal import supplement, supplemented_pascal
 
 DEFAULT_SUBSET_CAP = 10**7
 
@@ -79,13 +80,6 @@ def rs_generator(field: GF, k: int, n: int) -> MatrixGF:
     for m in range(1, k):
         rows[m] = kernels.v_mul(rows[m - 1], pts, q, logt, expt)
     return MatrixGF(field, rows)
-
-
-def supplement(m: MatrixGF) -> MatrixGF:
-    """Append the unit column s_k = (0,...,0,1)^T."""
-    s = np.zeros((m.rows, 1), dtype=np.int64)
-    s[m.rows - 1, 0] = 1
-    return MatrixGF(m.field, np.hstack([m.data, s]))
 
 
 def uniform_matroid_representation(field: GF, k: int, n: int) -> MatrixGF:

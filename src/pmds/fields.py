@@ -21,6 +21,7 @@ kept as a cross-check (the two must agree bit for bit).
 from __future__ import annotations
 
 import functools
+import operator
 from math import isqrt
 
 import numpy as np
@@ -116,6 +117,35 @@ def _digits(n: int, p: int, width: int) -> list[int]:
         n, r = divmod(n, p)
         out.append(r)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def add_sub(p: int, h: int):
+    """The ``(add, sub)`` functions of GF(p^h) on element indices.
+
+    An index is the element's base-p digit vector, so addition and
+    subtraction are digit-wise mod p: XOR when p = 2, one reduction mod p
+    when h = 1, and a loop over the h digits otherwise.  Both functions take
+    plain ints or int64 arrays (broadcasting).  An unsigned narrow array may
+    meet an int64 one, which numpy widens it to, but two narrow operands
+    wrap: widen one first.
+    """
+    if p == 2:
+        return operator.xor, operator.xor
+    if h == 1:
+        return (lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p)
+    return _digitwise(operator.add, p, h), _digitwise(operator.sub, p, h)
+
+
+def _digitwise(combine, p: int, h: int):
+    def op(a, b):
+        s, mul = 0, 1
+        for _ in range(h):
+            s = s + combine(a, b) % p * mul
+            a, b, mul = a // p, b // p, mul * p
+        return s
+
+    return op
 
 
 class GF:
@@ -223,33 +253,11 @@ class GF:
 
     def add(self, a: int, b: int) -> int:
         self._check(a), self._check(b)
-        p = self.p
-        if self.h == 1:
-            return (a + b) % p
-        if p == 2:
-            return a ^ b
-        s, mul = 0, 1
-        for _ in range(self.h):
-            s += ((a + b) % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return s
+        return add_sub(self.p, self.h)[0](a, b)
 
     def sub(self, a: int, b: int) -> int:
         self._check(a), self._check(b)
-        p = self.p
-        if self.h == 1:
-            return (a - b) % p
-        if p == 2:
-            return a ^ b
-        s, mul = 0, 1
-        for _ in range(self.h):
-            s += ((a - b) % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return s
+        return add_sub(self.p, self.h)[1](a, b)
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)

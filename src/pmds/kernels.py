@@ -1,26 +1,22 @@
 """Hot numeric kernels: exact elimination over GF(q), products, the MDS scan.
 
-Rank, solve and product have two backends that produce the same element
-values:
+One implementation per operation, in numpy and interpreted Python:
 
-* ``numba`` -- the loop kernels below compiled with ``@njit`` (default
-  whenever numba imports cleanly; numba is an optional extra);
-* ``numpy`` -- interpreted Python for small systems, numpy row operations
-  for large ones, and a table-driven product kernel; no compilation step.
-
-``PMDS_BACKEND=numba|numpy`` selects the backend at import time.  The MDS
-scan (``mds_scan``) is one numpy implementation on both backends: a
-depth-first walk of the lexicographic combination tree that eliminates each
-column prefix once, for all the subsets through it, and tests every pair
-that completes a (k-2)-column prefix with one vectorised 2 x 2 determinant
-grid.
+* ``rank_in_place`` and ``solve_in_place`` -- Gaussian elimination,
+  interpreted Python over plain ints for small systems and numpy row
+  operations for large ones;
+* ``matmul`` -- a table-driven product kernel;
+* ``mds_scan`` -- a depth-first walk of the lexicographic combination tree
+  that eliminates each column prefix once, for all the subsets through it,
+  and tests every pair that completes a (k-2)-column prefix with one
+  vectorised 2 x 2 determinant grid.
 
 Kernels take field arithmetic unpacked as ``(p, h, q, log, exp)`` int/array
-arguments (see ``GF.tables``): addition is digit-wise mod p on base-p digit
-vectors (XOR when p = 2) and multiplication goes through the log/antilog
-tables.  Matrices passed in are int64 arrays of element indices.
+arguments (see ``GF.tables``): addition is ``fields.add_sub`` and
+multiplication goes through the log/antilog tables.  Matrices passed in are
+int64 arrays of element indices.
 
-The numpy ``matmul`` multiplies by lookup: an extended antilog table read at
+``matmul`` multiplies by lookup: an extended antilog table read at
 ``log[c] + log[x]``, where ``log[0]`` is a sentinel that lands on zeros, so
 the slice ``exp_ext[log[c]:]`` is the full row of products by the
 coefficient c and one 1-D gather multiplies a whole operand row by c.  Zero
@@ -32,207 +28,23 @@ q <= 256, ``uint16`` above.
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-_requested = os.environ.get("PMDS_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise RuntimeError(f"PMDS_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
+from .fields import add_sub
 
-HAVE_NUMBA = False
-if _requested != "numpy":
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise RuntimeError("PMDS_BACKEND=numba but numba is not importable")
-        warnings.warn("numba not importable; falling back to the numpy backend")
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
+# The name of the one kernel set, recorded in benchmark fingerprints.
+BACKEND = "numpy"
 
 
-# -- scalar element ops (compiled on the numba backend) -----------------------
-
-
-def _s_add(a, b, p, h):
-    if p == 2:
-        return a ^ b
-    if h == 1:
-        return (a + b) % p
-    s = 0
-    mul = 1
-    for _ in range(h):
-        s += ((a + b) % p) * mul
-        a //= p
-        b //= p
-        mul *= p
-    return s
-
-
-def _s_sub(a, b, p, h):
-    if p == 2:
-        return a ^ b
-    if h == 1:
-        return (a - b) % p
-    s = 0
-    mul = 1
-    for _ in range(h):
-        s += ((a - b) % p) * mul
-        a //= p
-        b //= p
-        mul *= p
-    return s
-
-
-def _s_mul(a, b, q, logt, expt):
-    if a == 0 or b == 0:
-        return 0
-    return expt[(logt[a] + logt[b]) % (q - 1)]
-
-
-def _s_inv(a, q, logt, expt):
-    return expt[(q - 1 - logt[a]) % (q - 1)]
-
-
-# -- loop kernels (the numba backend compiles these) ---------------------------
-
-
-def _rank_in_place(m, p, h, q, logt, expt):
-    """Row rank by Gaussian elimination; m is destroyed.
-
-    Pivoting takes the first nonzero entry scanning top to bottom (exact
-    arithmetic needs no magnitude ordering).
-    """
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = -1
-        for i in range(r, rows):
-            if m[i, c] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            for j in range(c, cols):
-                t = m[r, j]
-                m[r, j] = m[piv, j]
-                m[piv, j] = t
-        pinv = _s_inv(m[r, c], q, logt, expt)
-        for j in range(c, cols):
-            m[r, j] = _s_mul(m[r, j], pinv, q, logt, expt)
-        for i in range(r + 1, rows):
-            f = m[i, c]
-            if f != 0:
-                for j in range(c, cols):
-                    m[i, j] = _s_sub(m[i, j], _s_mul(f, m[r, j], q, logt, expt), p, h)
-        r += 1
-    return r
-
-
-def _solve_in_place(a, b, p, h, q, logt, expt):
-    """Gauss-Jordan on a k x k system with multiple right-hand sides.
-
-    a is k x k and b is k x w; both are destroyed.  Returns 0 and leaves the
-    solution in b, or returns 1 if a is singular.
-    """
-    k = a.shape[0]
-    w = b.shape[1]
-    for c in range(k):
-        piv = -1
-        for i in range(c, k):
-            if a[i, c] != 0:
-                piv = i
-                break
-        if piv < 0:
-            return 1
-        if piv != c:
-            for j in range(k):
-                t = a[c, j]
-                a[c, j] = a[piv, j]
-                a[piv, j] = t
-            for j in range(w):
-                t = b[c, j]
-                b[c, j] = b[piv, j]
-                b[piv, j] = t
-        pinv = _s_inv(a[c, c], q, logt, expt)
-        for j in range(c, k):
-            a[c, j] = _s_mul(a[c, j], pinv, q, logt, expt)
-        for j in range(w):
-            b[c, j] = _s_mul(b[c, j], pinv, q, logt, expt)
-        for i in range(k):
-            if i != c and a[i, c] != 0:
-                f = a[i, c]
-                for j in range(c, k):
-                    a[i, j] = _s_sub(a[i, j], _s_mul(f, a[c, j], q, logt, expt), p, h)
-                for j in range(w):
-                    b[i, j] = _s_sub(b[i, j], _s_mul(f, b[c, j], q, logt, expt), p, h)
-    return 0
-
-
-def _matmul(a, b, p, h, q, logt, expt):
-    n, inner = a.shape
-    cols = b.shape[1]
-    out = np.zeros((n, cols), dtype=np.int64)
-    for i in range(n):
-        for t in range(inner):
-            f = a[i, t]
-            if f != 0:
-                for j in range(cols):
-                    out[i, j] = _s_add(out[i, j], _s_mul(f, b[t, j], q, logt, expt), p, h)
-    return out
-
-
-if HAVE_NUMBA:
-    _jit = njit(cache=True, nogil=True)
-    _s_add = _jit(_s_add)
-    _s_sub = _jit(_s_sub)
-    _s_mul = _jit(_s_mul)
-    _s_inv = _jit(_s_inv)
-    _rank_in_place = _jit(_rank_in_place)
-    _solve_in_place = _jit(_solve_in_place)
-    _matmul = _jit(_matmul)
-
-
-# -- vectorized element ops (numpy; shared by builders and the numpy backend) --
+# -- vectorized element ops (shared by the builders and the kernels) ------------
 
 
 def v_add(a, b, p, h):
-    a, b = np.broadcast_arrays(np.asarray(a, np.int64), np.asarray(b, np.int64))
-    if p == 2:
-        return np.bitwise_xor(a, b)
-    if h == 1:
-        return (a + b) % p
-    out = np.zeros(a.shape, dtype=np.int64)
-    aa, bb, mul = a.copy(), b.copy(), 1
-    for _ in range(h):
-        out += ((aa + bb) % p) * mul
-        aa //= p
-        bb //= p
-        mul *= p
-    return out
+    return add_sub(p, h)[0](np.asarray(a, np.int64), np.asarray(b, np.int64))
 
 
 def v_sub(a, b, p, h):
-    a, b = np.broadcast_arrays(np.asarray(a, np.int64), np.asarray(b, np.int64))
-    if p == 2:
-        return np.bitwise_xor(a, b)
-    if h == 1:
-        return (a - b) % p
-    out = np.zeros(a.shape, dtype=np.int64)
-    aa, bb, mul = a.copy(), b.copy(), 1
-    for _ in range(h):
-        out += ((aa - bb) % p) * mul
-        aa //= p
-        bb //= p
-        mul *= p
-    return out
+    return add_sub(p, h)[1](np.asarray(a, np.int64), np.asarray(b, np.int64))
 
 
 def v_neg(a, p, h):
@@ -248,11 +60,11 @@ def v_mul(a, b, q, logt, expt):
     return out
 
 
-# -- numpy backend kernels -----------------------------------------------------
+# -- elimination and products ---------------------------------------------------
 #
 # Vectorized row operations carry a fixed per-call numpy cost, so eliminating
-# a 4x4 decode system that way is pure overhead.  Below the cutoff the numpy
-# backend runs the same algorithm as interpreted Python over plain ints
+# a 4x4 decode system that way is pure overhead.  Below the cutoff the
+# kernels run the same algorithm as interpreted Python over plain ints
 # (exact arithmetic: results are identical either way).
 
 _SCALAR_CUTOFF = 400  # elements
@@ -285,27 +97,9 @@ def _field_tables(logt, expt):
     return hit[1:]
 
 
-def _scalar_sub_fn(p, h):
-    if p == 2:
-        return lambda a, b: a ^ b
-    if h == 1:
-        return lambda a, b: (a - b) % p
-
-    def sub(a, b):
-        s, mul = 0, 1
-        for _ in range(h):
-            s += ((a - b) % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return s
-
-    return sub
-
-
 def _rank_scalar(m, p, h, q, logt, expt):
     lt, et, _, _ = _field_tables(logt, expt)
-    sub = _scalar_sub_fn(p, h)
+    _, sub = add_sub(p, h)
     qm = q - 1
     rows = m.tolist()
     nrows, ncols = len(rows), len(rows[0])
@@ -343,7 +137,7 @@ def _rank_scalar(m, p, h, q, logt, expt):
 
 def _solve_scalar(a, b, p, h, q, logt, expt):
     lt, et, _, _ = _field_tables(logt, expt)
-    sub = _scalar_sub_fn(p, h)
+    _, sub = add_sub(p, h)
     qm = q - 1
     rows_a = a.tolist()
     rows_b = b.tolist()
@@ -387,7 +181,12 @@ def _solve_scalar(a, b, p, h, q, logt, expt):
     return 0
 
 
-def _rank_numpy(m, p, h, q, logt, expt):
+def rank_in_place(m, p, h, q, logt, expt):
+    """Row rank by Gaussian elimination; m is destroyed.
+
+    Pivoting takes the first nonzero entry scanning top to bottom (exact
+    arithmetic needs no magnitude ordering).
+    """
     if m.size <= _SCALAR_CUTOFF:
         return _rank_scalar(m, p, h, q, logt, expt)
     rows, cols = m.shape
@@ -412,7 +211,12 @@ def _rank_numpy(m, p, h, q, logt, expt):
     return r
 
 
-def _solve_numpy(a, b, p, h, q, logt, expt):
+def solve_in_place(a, b, p, h, q, logt, expt):
+    """Gauss-Jordan on a k x k system with multiple right-hand sides.
+
+    a is k x k and b is k x w; both are destroyed.  Returns 0 and leaves the
+    solution in b, or returns 1 if a is singular.
+    """
     if a.size <= _SCALAR_CUTOFF:
         if b.size <= _SCALAR_CUTOFF:
             return _solve_scalar(a, b, p, h, q, logt, expt)
@@ -420,7 +224,7 @@ def _solve_numpy(a, b, p, h, q, logt, expt):
         inv = np.eye(a.shape[0], dtype=np.int64)
         if _solve_scalar(a, inv, p, h, q, logt, expt):
             return 1
-        b[:] = _matmul_numpy(inv, b, p, h, q, logt, expt)
+        b[:] = _matmul(inv, b, p, h, q, logt, expt)
         return 0
     k = a.shape[0]
     for c in range(k):
@@ -445,7 +249,7 @@ def _solve_numpy(a, b, p, h, q, logt, expt):
     return 0
 
 
-def _matmul_numpy(a, b, p, h, q, logt, expt):
+def _matmul(a, b, p, h, q, logt, expt):
     """a @ b by table lookups, one pass per row of the smaller output side.
 
     Over columns the result is the transpose of a C-ordered (cols, rows)
@@ -454,6 +258,11 @@ def _matmul_numpy(a, b, p, h, q, logt, expt):
     if a.shape[0] >= b.shape[1]:
         return _product_rows(b.T, a.T, p, h, logt, expt).T
     return _product_rows(a, b, p, h, logt, expt)
+
+
+# The public product.  solve_in_place applies its inverse through _matmul, so
+# a wrapper around ``matmul`` (counting encode products, say) sees no decodes.
+matmul = _matmul
 
 
 def _product_rows(coef, x, p, h, logt, expt):
@@ -480,7 +289,7 @@ def _product_rows(coef, x, p, h, logt, expt):
     return out
 
 
-# -- the MDS scan (one implementation on both backends) ---------------------------
+# -- the MDS scan ------------------------------------------------------------------
 
 
 def mds_scan(m, p, h, q, logt, expt):
@@ -503,6 +312,7 @@ def mds_scan(m, p, h, q, logt, expt):
     if k == 1:
         zero = np.flatnonzero(m[0] == 0)
         return [int(zero[0])] if zero.size else None
+    _, sub = add_sub(p, h)
     qm = q - 1
     sentinel = int(log_ext[0])
     # Nodes with children left to visit: [prefix, R over columns base.., base,
@@ -533,13 +343,8 @@ def mds_scan(m, p, h, q, logt, expt):
         coef = [(lt[x] + li) % qm if x else sentinel for x in col]
         del coef[piv]
         prod = exp_ext[np.array(coef)[:, None] + log_ext[r[piv, t + 1 :]]]
-        rest = r[[i for i in range(rows) if i != piv], t + 1 :]
-        if p == 2:
-            rest ^= prod
-        elif h == 1:
-            rest = (rest - prod) % p
-        else:
-            rest = v_sub(rest, prod, p, h)
+        # r is int64, so the narrow products widen in the subtraction.
+        rest = sub(r[[i for i in range(rows) if i != piv], t + 1 :], prod)
         stack.append([prefix + [base + t], rest, base + t + 1, 0])
     return None
 
@@ -569,14 +374,3 @@ def _dependent_pair(r, log_ext, exp_ext):
             return j0 + j, j0 + 1 + l
     return None
 
-
-# -- public backend bindings ----------------------------------------------------
-
-if BACKEND == "numba":
-    rank_in_place = _rank_in_place
-    solve_in_place = _solve_in_place
-    matmul = _matmul
-else:
-    rank_in_place = _rank_numpy
-    solve_in_place = _solve_numpy
-    matmul = _matmul_numpy

@@ -261,43 +261,26 @@ def run_sim(config: SimConfig) -> SimReport:
     )
 
 
-def report_csv_rows(report: SimReport) -> list[dict]:
-    """One flat dict per receiver for CSV sweeps."""
-    cfg = report.config
-    rows = []
-    for r in report.receivers:
-        rows.append(
-            {
-                "scheme": cfg.scheme,
-                "seed": cfg.seed,
-                "field": cfg.field.spec,
-                "k": cfg.k,
-                "receivers": cfg.receivers,
-                "erasure_prob": cfg.erasure_prob,
-                "max_transmissions": cfg.max_transmissions,
-                "receiver_id": r.receiver_id,
-                "transmissions_observed": r.transmissions_observed,
-                "received_count": r.received_count,
-                "decoded": r.decoded,
-                "receptions_at_decode": r.receptions_at_decode,
-                "dependent_receptions": r.dependent_receptions,
-            }
-        )
-    return rows
-
-
-CSV_FIELDS = [
-    "scheme",
-    "seed",
-    "field",
-    "k",
-    "receivers",
-    "erasure_prob",
-    "max_transmissions",
+# CSV columns: config fields, then receiver fields (``field`` as its spec).
+_CONFIG_COLUMNS = (
+    "scheme", "seed", "field", "k", "receivers", "erasure_prob", "max_transmissions"
+)
+_RECEIVER_COLUMNS = (
     "receiver_id",
     "transmissions_observed",
     "received_count",
     "decoded",
     "receptions_at_decode",
     "dependent_receptions",
-]
+)
+CSV_FIELDS = [*_CONFIG_COLUMNS, *_RECEIVER_COLUMNS]
+
+
+def report_csv_rows(report: SimReport) -> list[dict]:
+    """One flat dict per receiver for CSV sweeps, keyed by ``CSV_FIELDS``."""
+    head = {name: getattr(report.config, name) for name in _CONFIG_COLUMNS}
+    head["field"] = report.config.field.spec
+    return [
+        {**head, **{name: getattr(r, name) for name in _RECEIVER_COLUMNS}}
+        for r in report.receivers
+    ]

@@ -58,12 +58,16 @@ def pascal_matrix(field: GF) -> MatrixGF:
     return truncated_pascal(field, field.q)
 
 
+def supplement(m: MatrixGF) -> MatrixGF:
+    """Append the unit column s_k = (0,...,0,1)^T."""
+    s = np.zeros((m.rows, 1), dtype=np.int64)
+    s[m.rows - 1, 0] = 1
+    return MatrixGF(m.field, np.hstack([m.data, s]))
+
+
 def supplemented_pascal(field: GF, k: int) -> MatrixGF:
     """Truncated Pascal matrix with the unit column s_k appended: k x (q+1)."""
-    base = truncated_pascal(field, k)
-    s = np.zeros((k, 1), dtype=np.int64)
-    s[k - 1, 0] = 1
-    return MatrixGF(field, np.hstack([base.data, s]))
+    return supplement(truncated_pascal(field, k))
 
 
 def pascal_additive(p: int, k: int) -> MatrixGF:

@@ -184,6 +184,25 @@ def test_decode_corrupt_surplus_share_domain_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_decode_disagreeing_copies_domain_failure(tmp_path, capsys):
+    src, out_dir = _gf5_shares(tmp_path, capsys)
+    raw = bytearray((out_dir / "share_0.bin").read_bytes())
+    raw[-1] = (raw[-1] + 1) % 5  # an in-range GF(5) symbol, changed
+    copy = tmp_path / "copy_of_share_0.bin"
+    copy.write_bytes(bytes(raw))
+    out = tmp_path / "x.bin"
+    shares = [str(copy)] + [str(out_dir / f"share_{u}.bin") for u in range(3)]
+    code, _, err = run_cli(["decode", "--out", str(out), *shares], capsys=capsys)
+    assert code == 1
+    assert "corrupt" in err
+    assert not out.exists()
+    # An identical second copy is harmless.
+    copy.write_bytes((out_dir / "share_0.bin").read_bytes())
+    code, _, _ = run_cli(["decode", "--out", str(out), *shares], capsys=capsys)
+    assert code == 0
+    assert out.read_bytes() == src.read_bytes()
+
+
 def test_decode_untouched_surplus_share(tmp_path, capsys):
     src, out_dir = _gf5_shares(tmp_path, capsys)
     out = tmp_path / "x.bin"
@@ -223,7 +242,12 @@ def test_simulate_json_and_csv(tmp_path, capsys, monkeypatch):
     assert report["config"]["max_transmissions"] == 18  # default q+1
     assert len(report["receivers"]) == 3
     lines = csv_path.read_text().splitlines()
-    assert lines[0].startswith("scheme,seed,field,")
+    assert lines[0] == (
+        "scheme,seed,field,k,receivers,erasure_prob,max_transmissions,receiver_id,"
+        "transmissions_observed,received_count,decoded,receptions_at_decode,"
+        "dependent_receptions"
+    )
+    assert lines[1] == "pascal,7,17,4,3,0.2,18,0,4,4,True,4,0"
     assert len(lines) == 4
     # appending a second run adds rows, not a second header
     code, out2, _ = run_cli(argv, capsys=capsys)

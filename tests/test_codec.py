@@ -129,6 +129,20 @@ def test_decode_rejects_corrupt_surplus_share():
         assert decode(cfg, [s for s in shares if s.u != bad_u]).tolist() == msg
 
 
+def test_decode_rejects_disagreeing_copies_of_a_share():
+    cfg = CodecConfig(F5, 3, "supplemented_pascal")
+    msg = [[1, 2, 3], [4, 0, 1]]
+    shares = encode(cfg, msg)
+    symbols = np.array(shares[0].symbols, dtype=np.int64)
+    symbols[0] = (symbols[0] + 1) % 5  # still in range
+    bad0 = Share(0, symbols)
+    for order in ([bad0, *shares[:3]], [*shares[:3], bad0]):
+        with pytest.raises(DecodeError, match="coordinate 0"):
+            decode(cfg, order)
+    twin = Share(0, shares[0].symbols.copy())
+    assert decode(cfg, [twin, *shares[:3]]).tolist() == msg
+
+
 @pytest.mark.parametrize(
     "field,k,kind",
     [

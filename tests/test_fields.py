@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 import sympy
@@ -179,14 +181,21 @@ def test_against_reference_oracle(small_field):
 
 def test_vectorized_ops_match_scalar(small_field):
     f = small_field
+    ref = make_ref(f)
     p, h, q, logt, expt = f.tables()
     a = np.arange(q, dtype=np.int64)
     for b in range(q):
         bb = np.full(q, b, dtype=np.int64)
-        assert kernels.v_add(a, bb, p, h).tolist() == [f.add(int(x), b) for x in a]
-        assert kernels.v_sub(a, bb, p, h).tolist() == [f.sub(int(x), b) for x in a]
-        assert kernels.v_mul(a, bb, q, logt, expt).tolist() == [f.mul(int(x), b) for x in a]
-    assert kernels.v_neg(a, p, h).tolist() == [f.neg(int(x)) for x in a]
+        assert kernels.v_add(a, bb, p, h).tolist() == [ref.add(int(x), b) for x in a]
+        assert kernels.v_sub(a, bb, p, h).tolist() == [ref.sub(int(x), b) for x in a]
+        assert kernels.v_mul(a, bb, q, logt, expt).tolist() == [ref.mul(int(x), b) for x in a]
+    assert kernels.v_neg(a, p, h).tolist() == [ref.sub(0, int(x)) for x in a]
+
+
+def test_field_pickles(small_field):
+    f = pickle.loads(pickle.dumps(small_field))
+    assert f == small_field
+    assert [f.sub(a, f.add(a, 1)) for a in range(f.q)] == [f.neg(1)] * f.q
 
 
 def test_gf256_sampled_against_oracle():
