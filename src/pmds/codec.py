@@ -321,6 +321,8 @@ def read_share(stream: io.RawIOBase) -> tuple[FrameHeader, Share]:
         field = header.field
     except ValueError as e:
         raise DecodeError(f"invalid field in share header: {e}") from None
+    if not 1 <= k <= field.q:
+        raise DecodeError(f"invalid K in share header: K must be in [1, {field.q}], got {k}")
     width = _symbol_width(field.q)
     body = stream.read()
     if len(body) % width:

@@ -110,9 +110,7 @@ def decompose_supplemented(m: MatrixGF) -> MatrixGF:
     q = m.field.q
     if k < 2 or cols != q + 1:
         raise ValueError(f"not in supplemented shape: expected k>=2 and {q + 1} columns")
-    s = np.zeros(k, dtype=np.int64)
-    s[k - 1] = 1
-    if not np.array_equal(m.data[:, q], s):
+    if m != supplement(MatrixGF(m.field, m.data[:, :q])):
         raise ValueError("not in supplemented shape: last column is not (0,...,0,1)")
     out = m.data.copy()
     # Subtracting entry(k-1, j) * s_k zeroes exactly the last-row entry of

@@ -1,10 +1,11 @@
 """Hot numeric kernels: exact elimination over GF(q), products, the MDS scan.
 
-One implementation per operation, in numpy and interpreted Python:
+One numpy implementation per operation:
 
-* ``rank_in_place`` and ``solve_in_place`` -- Gaussian elimination,
-  interpreted Python over plain ints for small systems and numpy row
-  operations for large ones;
+* ``rank_in_place`` and ``solve_in_place`` -- Gauss-Jordan elimination that
+  loops one table-driven pivot step (``_pivot``, which the simulator's rank
+  tracker also uses); a solve with more right-hand sides than unknowns
+  inverts once and applies the inverse with the product kernel;
 * ``matmul`` -- a table-driven product kernel;
 * ``mds_scan`` -- a depth-first walk of the lexicographic combination tree
   that eliminates each column prefix once, for all the subsets through it,
@@ -13,17 +14,17 @@ One implementation per operation, in numpy and interpreted Python:
 
 Kernels take field arithmetic unpacked as ``(p, h, q, log, exp)`` int/array
 arguments (see ``GF.tables``): addition is ``fields.add_sub`` and
-multiplication goes through the log/antilog tables.  Matrices passed in are
-int64 arrays of element indices.
+multiplication is one gather on an extended antilog table read at
+``log[a] + log[b]``, where ``log[0]`` is a sentinel that lands on zeros, so
+no product needs a mask for its zero operands.  Matrices passed in are int64
+arrays of element indices.
 
-``matmul`` multiplies by lookup: an extended antilog table read at
-``log[c] + log[x]``, where ``log[0]`` is a sentinel that lands on zeros, so
-the slice ``exp_ext[log[c]:]`` is the full row of products by the
-coefficient c and one 1-D gather multiplies a whole operand row by c.  Zero
-coefficients are skipped, so a generator's zeros cost nothing.  Products
-are accumulated by XOR (p = 2), as an integer sum reduced mod p (h = 1), or
-digit-wise (odd p, h > 1).  Its result holds narrow symbols: ``uint8`` for
-q <= 256, ``uint16`` above.
+``matmul`` uses that the slice ``exp_ext[log[c]:]`` is the full row of
+products by the coefficient c, so one 1-D gather multiplies a whole operand
+row by c.  Zero coefficients are skipped, so a generator's zeros cost
+nothing.  Products are accumulated by XOR (p = 2), as an integer sum reduced
+mod p (h = 1), or digit-wise (odd p, h > 1).  Its result holds narrow
+symbols: ``uint8`` for q <= 256, ``uint16`` above.
 """
 
 from __future__ import annotations
@@ -47,27 +48,12 @@ def v_sub(a, b, p, h):
     return add_sub(p, h)[1](np.asarray(a, np.int64), np.asarray(b, np.int64))
 
 
-def v_neg(a, p, h):
-    return v_sub(np.zeros_like(np.asarray(a, np.int64)), a, p, h)
-
-
 def v_mul(a, b, q, logt, expt):
-    a, b = np.broadcast_arrays(np.asarray(a, np.int64), np.asarray(b, np.int64))
-    out = np.zeros(a.shape, dtype=np.int64)
-    nz = (a != 0) & (b != 0)
-    if np.any(nz):
-        out[nz] = expt[(logt[a[nz]] + logt[b[nz]]) % (q - 1)]
-    return out
+    _, log_ext, exp_ext = _field_tables(logt, expt)
+    return exp_ext[log_ext[a] + log_ext[b]].astype(np.int64)
 
 
 # -- elimination and products ---------------------------------------------------
-#
-# Vectorized row operations carry a fixed per-call numpy cost, so eliminating
-# a 4x4 decode system that way is pure overhead.  Below the cutoff the
-# kernels run the same algorithm as interpreted Python over plain ints
-# (exact arithmetic: results are identical either way).
-
-_SCALAR_CUTOFF = 400  # elements
 
 _BLOCK = 16384  # product entries per pass: a block of operand logs stays in cache
 
@@ -75,8 +61,7 @@ _table_cache: dict[int, tuple] = {}
 
 
 def _field_tables(logt, expt):
-    """Tables derived once per field: (log list, exp list) for the scalar
-    path and (log_ext, exp_ext) for the product kernel.
+    """Tables derived once per field: the log list and (log_ext, exp_ext).
 
     ``log_ext`` is ``log`` as intp with ``log_ext[0]`` set to a sentinel
     past every sum of two logs; ``exp_ext[i]`` is ``exp[i mod (q-1)]`` below
@@ -92,160 +77,62 @@ def _field_tables(logt, expt):
         log_ext[0] = sentinel
         exp_ext = np.zeros(2 * sentinel + 1, dtype=np.uint8 if qm < 256 else np.uint16)
         exp_ext[:sentinel] = expt[np.arange(sentinel) % qm]
-        hit = (logt, logt.tolist(), expt.tolist(), log_ext, exp_ext)
+        hit = (logt, logt.tolist(), log_ext, exp_ext)
         _table_cache[id(logt)] = hit
     return hit[1:]
 
 
-def _rank_scalar(m, p, h, q, logt, expt):
-    lt, et, _, _ = _field_tables(logt, expt)
-    _, sub = add_sub(p, h)
-    qm = q - 1
-    rows = m.tolist()
-    nrows, ncols = len(rows), len(rows[0])
+def _pivot(m, r, c, p, h, q, logt, expt):
+    """One Gauss-Jordan step on the int64 matrix m, in place: scale row r by
+    the inverse of m[r, c], then clear column c from every other row."""
+    _, log_ext, exp_ext = _field_tables(logt, expt)
+    # The log of the inverse is reduced mod q - 1: in GF(2) the unreduced
+    # 1 - 0 would be the sentinel, and the row would scale to zeros.
+    linv = -int(log_ext[m[r, c]]) % (q - 1)
+    row = exp_ext[log_ext[m[r]] + linv]
+    # Row r is cleared with the others, then overwritten with its scaled self.
+    m[:] = add_sub(p, h)[1](m, exp_ext[log_ext[m[:, c]][:, None] + log_ext[row]])
+    m[r] = row
+
+
+def _reduce(m, ncols, p, h, q, logt, expt):
+    """Bring m to reduced row-echelon form over its first ncols columns, in
+    place, and return the number of pivots.
+
+    The pivot of a column is its first nonzero entry at or below the next
+    pivot row (exact arithmetic needs no magnitude ordering).
+    """
     r = 0
     for c in range(ncols):
-        if r == nrows:
+        if r == m.shape[0]:
             break
-        piv = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        rr = rows[r]
-        li = (qm - lt[rr[c]]) % qm  # log of the pivot inverse
-        for j in range(c, ncols):
-            x = rr[j]
-            if x:
-                rr[j] = et[(lt[x] + li) % qm]
-        for i in range(r + 1, nrows):
-            ri = rows[i]
-            f = ri[c]
-            if f:
-                lf = lt[f]
-                for j in range(c, ncols):
-                    y = rr[j]
-                    if y:
-                        ri[j] = sub(ri[j], et[(lf + lt[y]) % qm])
-        r += 1
+        col = m[r:, c].tolist()
+        piv = next((r + i for i, x in enumerate(col) if x), None)
+        if piv is not None:
+            if piv != r:
+                m[[r, piv]] = m[[piv, r]]
+            _pivot(m, r, c, p, h, q, logt, expt)
+            r += 1
     return r
-
-
-def _solve_scalar(a, b, p, h, q, logt, expt):
-    lt, et, _, _ = _field_tables(logt, expt)
-    _, sub = add_sub(p, h)
-    qm = q - 1
-    rows_a = a.tolist()
-    rows_b = b.tolist()
-    k = len(rows_a)
-    w = len(rows_b[0]) if rows_b else 0
-    for c in range(k):
-        piv = -1
-        for i in range(c, k):
-            if rows_a[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            return 1
-        if piv != c:
-            rows_a[c], rows_a[piv] = rows_a[piv], rows_a[c]
-            rows_b[c], rows_b[piv] = rows_b[piv], rows_b[c]
-        ac, bc = rows_a[c], rows_b[c]
-        li = (qm - lt[ac[c]]) % qm
-        for j in range(c, k):
-            x = ac[j]
-            if x:
-                ac[j] = et[(lt[x] + li) % qm]
-        for j in range(w):
-            x = bc[j]
-            if x:
-                bc[j] = et[(lt[x] + li) % qm]
-        for i in range(k):
-            if i != c and rows_a[i][c]:
-                ai, bi = rows_a[i], rows_b[i]
-                lf = lt[ai[c]]
-                for j in range(c, k):
-                    y = ac[j]
-                    if y:
-                        ai[j] = sub(ai[j], et[(lf + lt[y]) % qm])
-                for j in range(w):
-                    y = bc[j]
-                    if y:
-                        bi[j] = sub(bi[j], et[(lf + lt[y]) % qm])
-    a[:] = rows_a
-    b[:] = rows_b
-    return 0
 
 
 def rank_in_place(m, p, h, q, logt, expt):
-    """Row rank by Gaussian elimination; m is destroyed.
-
-    Pivoting takes the first nonzero entry scanning top to bottom (exact
-    arithmetic needs no magnitude ordering).
-    """
-    if m.size <= _SCALAR_CUTOFF:
-        return _rank_scalar(m, p, h, q, logt, expt)
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        pinv = int(expt[(q - 1 - int(logt[m[r, c]])) % (q - 1)])
-        m[r, c:] = v_mul(m[r, c:], pinv, q, logt, expt)
-        f = m[r + 1 :, c]
-        if f.size:
-            m[r + 1 :, c:] = v_sub(
-                m[r + 1 :, c:], v_mul(f[:, None], m[r, c:][None, :], q, logt, expt), p, h
-            )
-        r += 1
-    return r
+    """Row rank by Gauss-Jordan elimination; m is destroyed."""
+    return _reduce(m, m.shape[1], p, h, q, logt, expt)
 
 
 def solve_in_place(a, b, p, h, q, logt, expt):
-    """Gauss-Jordan on a k x k system with multiple right-hand sides.
+    """Solve a x = b for a k x k and b k x w by Gauss-Jordan elimination.
 
-    a is k x k and b is k x w; both are destroyed.  Returns 0 and leaves the
-    solution in b, or returns 1 if a is singular.
+    Returns 0 and leaves the solution in b, or returns 1 if a is singular.
+    The elimination runs on [a | b] when w <= k.  With more right-hand sides
+    it runs on [a | I], and one product applies the inverse to b.
     """
-    if a.size <= _SCALAR_CUTOFF:
-        if b.size <= _SCALAR_CUTOFF:
-            return _solve_scalar(a, b, p, h, q, logt, expt)
-        # Many right-hand sides: invert a once, then one product applies it.
-        inv = np.eye(a.shape[0], dtype=np.int64)
-        if _solve_scalar(a, inv, p, h, q, logt, expt):
-            return 1
-        b[:] = _matmul(inv, b, p, h, q, logt, expt)
-        return 0
-    k = a.shape[0]
-    for c in range(k):
-        nz = np.nonzero(a[c:, c])[0]
-        if nz.size == 0:
-            return 1
-        piv = c + int(nz[0])
-        if piv != c:
-            a[[c, piv]] = a[[piv, c]]
-            b[[c, piv]] = b[[piv, c]]
-        pinv = int(expt[(q - 1 - int(logt[a[c, c]])) % (q - 1)])
-        a[c, c:] = v_mul(a[c, c:], pinv, q, logt, expt)
-        b[c] = v_mul(b[c], pinv, q, logt, expt)
-        f = a[:, c].copy()
-        f[c] = 0
-        hit = np.nonzero(f)[0]
-        if hit.size:
-            a[hit, c:] = v_sub(
-                a[hit, c:], v_mul(f[hit, None], a[c, c:][None, :], q, logt, expt), p, h
-            )
-            b[hit] = v_sub(b[hit], v_mul(f[hit, None], b[c][None, :], q, logt, expt), p, h)
+    k, w = b.shape
+    aug = np.concatenate([a, b if w <= k else np.eye(k, dtype=np.int64)], axis=1)
+    if _reduce(aug, k, p, h, q, logt, expt) < k:
+        return 1
+    b[:] = aug[:, k:] if w <= k else _matmul(aug[:, k:], b, p, h, q, logt, expt)
     return 0
 
 
@@ -260,14 +147,15 @@ def _matmul(a, b, p, h, q, logt, expt):
     return _product_rows(a, b, p, h, logt, expt)
 
 
-# The public product.  solve_in_place applies its inverse through _matmul, so
-# a wrapper around ``matmul`` (counting encode products, say) sees no decodes.
+# The public product.  solve_in_place and the simulator's rank tracker call
+# _matmul, so a wrapper around ``matmul`` (counting encode products, say) sees
+# neither decodes nor rank tracking.
 matmul = _matmul
 
 
 def _product_rows(coef, x, p, h, logt, expt):
     """out[i] = sum over t of coef[i, t] * x[t], skipping zero coefficients."""
-    lt, _, log_ext, exp_ext = _field_tables(logt, expt)
+    lt, log_ext, exp_ext = _field_tables(logt, expt)
     length = x.shape[1]
     out = np.zeros((coef.shape[0], length), dtype=exp_ext.dtype)
     xlog = log_ext[x]
@@ -308,7 +196,7 @@ def mds_scan(m, p, h, q, logt, expt):
     memory is O(k * k * n) entries plus one ``_BLOCK`` of the pair grid.
     """
     k = m.shape[0]
-    lt, _, log_ext, exp_ext = _field_tables(logt, expt)
+    lt, log_ext, exp_ext = _field_tables(logt, expt)
     if k == 1:
         zero = np.flatnonzero(m[0] == 0)
         return [int(zero[0])] if zero.size else None

@@ -147,34 +147,36 @@ def random_column(rng: Xorshift64Star, field: GF, k: int) -> np.ndarray:
 
 
 class _Accumulator:
-    """Incremental rank tracker: received columns kept in reduced row form."""
+    """Incremental rank tracker: a basis of the received columns' span in
+    reduced row-echelon form."""
 
     def __init__(self, field: GF, k: int):
         self.field = field
         self.k = k
         self.pivots: list[int] = []
-        self.rows: list[np.ndarray] = []
+        self.basis = np.zeros((0, k), dtype=np.int64)
 
     def insert(self, column: np.ndarray) -> bool:
         """Reduce the column against the basis; True if it raised the rank."""
-        p, h, q, logt, expt = self.field.tables()
-        v = column.copy()
-        for pos, row in zip(self.pivots, self.rows):
-            c = int(v[pos])
-            if c:
-                v = kernels.v_sub(v, kernels.v_mul(row, c, q, logt, expt), p, h)
-        nz = np.nonzero(v)[0]
+        field = self.field
+        v = column
+        if self.pivots:
+            # The basis is reduced, so the column's entries at the pivots are
+            # its coordinates along the basis rows.
+            coords = column[self.pivots][None, :]
+            span = kernels._matmul(coords, self.basis, *field.tables())[0]
+            v = kernels.v_sub(column, span, field.p, field.h)
+        nz = np.flatnonzero(v)
         if nz.size == 0:
             return False
-        pos = int(nz[0])
-        v = kernels.v_mul(v, self.field.inv(int(v[pos])), q, logt, expt)
-        self.pivots.append(pos)
-        self.rows.append(v)
+        self.basis = np.vstack([self.basis, v])
+        kernels._pivot(self.basis, self.rank, int(nz[0]), *field.tables())
+        self.pivots.append(int(nz[0]))
         return True
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
 
 def run_sim(config: SimConfig) -> SimReport:

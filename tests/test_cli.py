@@ -214,14 +214,27 @@ def test_decode_untouched_surplus_share(tmp_path, capsys):
 
 def test_decode_invalid_header_field_domain_failure(tmp_path, capsys):
     _, out_dir = _gf5_shares(tmp_path, capsys)
-    frame = out_dir / "share_1.bin"
-    raw = bytearray(frame.read_bytes())
-    raw[5:7] = (4).to_bytes(2, "big")  # header p = 4
-    frame.write_bytes(bytes(raw))
-    shares = [str(out_dir / f"share_{u}.bin") for u in range(3)]
-    code, _, err = run_cli(["decode", "--out", str(tmp_path / "x.bin"), *shares], capsys=capsys)
-    assert code == 1
-    assert "not prime" in err
+    frames = [out_dir / f"share_{u}.bin" for u in range(3)]
+    good = [frame.read_bytes() for frame in frames]
+    # (header bytes, new value, frames changed, message): p = 4 in one frame,
+    # then K = 0 and K = 6, outside [1, q], in all three.
+    cases = [
+        (slice(5, 7), (4).to_bytes(2, "big"), [1], "not prime"),
+        (slice(8, 12), (0).to_bytes(4, "big"), [0, 1, 2], "K must be in [1, 5]"),
+        (slice(8, 12), (6).to_bytes(4, "big"), [0, 1, 2], "K must be in [1, 5]"),
+    ]
+    for where, value, changed, message in cases:
+        for u, frame in enumerate(frames):
+            raw = bytearray(good[u])
+            if u in changed:
+                raw[where] = value
+            frame.write_bytes(bytes(raw))
+        shares = [str(frame) for frame in frames]
+        code, _, err = run_cli(
+            ["decode", "--out", str(tmp_path / "x.bin"), *shares], capsys=capsys
+        )
+        assert code == 1, message
+        assert message in err
 
 
 def test_simulate_json_and_csv(tmp_path, capsys, monkeypatch):

@@ -303,15 +303,22 @@ def test_share_frame_errors():
 
 
 @pytest.mark.parametrize(
-    "p,h,reason",
-    [(4, 1, "not prime"), (5, 0, "extension degree"), (2, 17, "exceeds cap")],
+    "p,h,k,reason",
+    [
+        pytest.param(4, 1, 2, "not prime", id="4-1-not prime"),
+        pytest.param(5, 0, 2, "extension degree", id="5-0-extension degree"),
+        pytest.param(2, 17, 2, "exceeds cap", id="2-17-exceeds cap"),
+        (5, 1, 0, "K must be in"),
+        (5, 1, 6, "K must be in"),
+    ],
 )
-def test_share_frame_invalid_field_is_decode_error(p, h, reason):
+def test_share_frame_invalid_field_is_decode_error(p, h, k, reason):
     cfg = CodecConfig(F5, 2, "supplemented_pascal")
     buf = io.BytesIO()
     write_share(buf, cfg, encode(cfg, [[1, 2]])[0], 2)
     raw = bytearray(buf.getvalue())
-    raw[5:8] = p.to_bytes(2, "big") + bytes([h])  # header fields p (u16 BE), h (u8)
+    # header fields p (u16 BE), h (u8), K (u32 BE)
+    raw[5:12] = p.to_bytes(2, "big") + bytes([h]) + k.to_bytes(4, "big")
     with pytest.raises(DecodeError, match=reason):
         read_share(io.BytesIO(bytes(raw)))
 

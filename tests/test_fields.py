@@ -189,7 +189,8 @@ def test_vectorized_ops_match_scalar(small_field):
         assert kernels.v_add(a, bb, p, h).tolist() == [ref.add(int(x), b) for x in a]
         assert kernels.v_sub(a, bb, p, h).tolist() == [ref.sub(int(x), b) for x in a]
         assert kernels.v_mul(a, bb, q, logt, expt).tolist() == [ref.mul(int(x), b) for x in a]
-    assert kernels.v_neg(a, p, h).tolist() == [ref.sub(0, int(x)) for x in a]
+    table = [[ref.mul(x, y) for y in range(q)] for x in range(q)]
+    assert kernels.v_mul(a[:, None], a, q, logt, expt).tolist() == table  # broadcasting
 
 
 def test_field_pickles(small_field):

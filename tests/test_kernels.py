@@ -8,9 +8,10 @@ from pmds.fields import make_field
 from reference_gf import make_ref, ref_rank
 
 # One field per accumulation rule and symbol width: prime (uint8 and uint16),
-# odd characteristic with h > 1, characteristic 2 (uint8 and uint16).
+# odd characteristic with h > 1, characteristic 2 (uint8 and uint16), and
+# GF(2), whose only nonzero log is 0.
 REF_FIELDS = [make_field(5), make_field(3, 2), make_field(2, 4), make_field(257),
-              make_field(2, 16)]
+              make_field(2, 16), make_field(2)]
 
 
 def _sparse(rng, q, shape, zero_frac=0.5):
@@ -60,7 +61,7 @@ def test_solve_many_rhs_matches_oracle(field):
     rng = np.random.default_rng(field.q)
     t = field.tables()
     k, w = 4, 120
-    assert k * w > kernels._SCALAR_CUTOFF >= k * k
+    assert w > k  # the [a | I] route: invert a, then one product applies it
     a = _sparse(rng, field.q, (k, k), zero_frac=0.3)
     a[np.arange(k), np.arange(k)] = rng.integers(1, field.q, size=k)
     a[0, 1:] = 0  # lower triangular with a nonzero diagonal: nonsingular
@@ -78,15 +79,15 @@ def test_solve_many_rhs_matches_oracle(field):
 
 
 # One field per subtraction rule of the elimination: mod p (a small and a large
-# prime), digit-wise, XOR.
-ELIM_FIELDS = [make_field(5), make_field(3, 2), make_field(2, 4), make_field(257)]
+# prime), digit-wise, XOR, and GF(2).
+ELIM_FIELDS = [make_field(5), make_field(3, 2), make_field(2, 4), make_field(257),
+               make_field(2)]
 
 
 @pytest.mark.parametrize("field", ELIM_FIELDS, ids=repr)
 def test_rank_vectorised_matches_oracle(field):
     rng = np.random.default_rng(field.q + 1)
     m = _sparse(rng, field.q, (24, 30), zero_frac=0.3)
-    assert m.size > kernels._SCALAR_CUTOFF  # the numpy row-operation path
     m[0, 0] = 0  # the first pivot comes from a lower row: a swap
     m[5, 0] = 1
     m[:, 3] = 0  # a column with no pivot
@@ -102,7 +103,7 @@ def test_solve_vectorised_matches_oracle(field):
     rng = np.random.default_rng(field.q + 2)
     t = field.tables()
     k, w = 25, 4
-    assert k * k > kernels._SCALAR_CUTOFF  # the numpy row-operation path
+    assert w <= k  # the [a | b] route
     ref = make_ref(field)
     while True:
         a = _sparse(rng, field.q, (k, k), zero_frac=0.3)

@@ -1,12 +1,14 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from pmds.fields import make_field
 from pmds.matrices import MatrixGF, rank
-from pmds.ncsim import SimConfig, overhead_bits, random_column, run_sim
+from pmds.ncsim import SimConfig, _Accumulator, overhead_bits, random_column, run_sim
 from pmds.rng import Xorshift64Star
+from reference_gf import make_ref, ref_rank
 
 F17 = make_field(17)
 
@@ -40,6 +42,29 @@ def test_config_validation():
         SimConfig(F17, 4, 0, 0.1, "pascal", 1, 10)
     with pytest.raises(ValueError):
         SimConfig(F17, 4, 2, 0.1, "beacon", 1, 10)
+
+
+@pytest.mark.parametrize("field", [make_field(2), make_field(3, 2), make_field(257)], ids=repr)
+def test_accumulator_matches_oracle_rank(field):
+    k = 6
+    rng = np.random.default_rng(field.q)
+    cols = np.where(rng.random((16, k)) < 0.4, 0, rng.integers(1, field.q, size=(16, k)))
+    cols[0] = 0  # a zero column before any basis row
+    cols[4] = 0
+    cols[6] = cols[2]  # a duplicate
+    ref = make_ref(field)
+    c = field.q - 1
+    cols[9] = [ref.add(ref.mul(c, x), y) for x, y in zip(cols[1], cols[3])]  # c*col1 + col3
+    sent = cols.copy()
+    acc = _Accumulator(field, k)
+    before = 0
+    for i in range(len(cols)):
+        after = ref_rank(ref, cols[: i + 1].tolist())
+        assert acc.insert(cols[i]) == (after > before), i
+        assert acc.rank == after
+        before = after
+    assert before == k  # the basis filled up, so later columns were all dependent
+    assert np.array_equal(cols, sent)  # insert leaves the received columns alone
 
 
 def test_lossless_pascal_decodes_at_exactly_k():
