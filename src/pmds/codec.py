@@ -30,7 +30,7 @@ import numpy as np
 from . import kernels
 from .codes import rs_generator
 from .fields import GF, make_field
-from .matrices import MatrixGF, SingularMatrixError, solve_many
+from .matrices import MatrixGF, SingularMatrixError, int_array, solve_many
 from .pascal import supplement, supplemented_pascal, truncated_pascal
 
 GENERATOR_KINDS = ("supplemented_pascal", "truncated_pascal", "rs", "supplemented_rs")
@@ -102,7 +102,7 @@ def generator_matrix(config: CodecConfig) -> MatrixGF:
 
 
 def _as_words(config: CodecConfig, message) -> np.ndarray:
-    words = np.array(message, dtype=np.int64, copy=True)
+    words = int_array(message)
     if words.size == 0:
         return words.reshape(0, config.k)
     if words.ndim != 2 or words.shape[1] != config.k:
@@ -120,14 +120,59 @@ def encode(config: CodecConfig, message) -> list[Share]:
     return [Share(u=u, symbols=coded[:, u]) for u in range(config.n)]
 
 
+_INVERSE_BUDGET = 1 << 22  # cached inverse entries: 32 MiB of int64
+
+
+class _Inverses:
+    """Decode inverses keyed on (field, K, kind, coordinates), oldest first,
+    holding at most ``budget`` entries in total (the sum of K^2)."""
+
+    def __init__(self, budget: int = _INVERSE_BUDGET):
+        self.budget = budget
+        self.systems: dict[tuple, np.ndarray] = {}
+        self.entries = 0
+
+    def add(self, key: tuple, inv: np.ndarray):
+        while self.systems and self.entries + inv.size > self.budget:
+            self.entries -= self.systems.pop(next(iter(self.systems))).size
+        self.systems[key] = inv
+        self.entries += inv.size
+
+
+_inverses = _Inverses()
+
+
+def _inverse(config: CodecConfig, coords: tuple) -> np.ndarray:
+    """The inverse of the K x K system whose row i is generator column
+    coords[i], from the cache or by one elimination."""
+    key = (config.field, config.k, config.kind, coords)
+    inv = _inverses.systems.get(key)
+    if inv is not None:
+        return inv
+    gen = _full_generator(config.field, config.k, config.kind)
+    system = MatrixGF(config.field, gen.data[:, list(coords)].T)
+    try:
+        inv = solve_many(system, np.eye(config.k, dtype=np.int64))
+    except SingularMatrixError:
+        raise DecodeError("singular decode system: share data is corrupt") from None
+    inv.flags.writeable = False  # shared by every later decode of this system
+    _inverses.add(key, inv)
+    return inv
+
+
 def decode(config: CodecConfig, shares) -> np.ndarray:
     """Reconstruct the message words from shares at >= K distinct coordinates.
 
-    Uses the K lowest coordinate indices; one elimination of the K x K
-    column matrix covers all words.  Shares at further coordinates are
-    re-encoded from the solution and must match it, and copies of a share at
-    one coordinate must be identical, so a corrupted share among more than K
-    does not decode in silence.
+    Uses the K lowest coordinate indices.  The inverse of their K x K column
+    matrix depends only on the field, K, the kind and those coordinates (n
+    only cuts the column prefix), so it is eliminated once and cached; one
+    product applies it to all words.  The cache holds at most
+    ``_INVERSE_BUDGET`` = 2^22 entries in total (the sum of K^2 over its
+    systems, 32 MiB of int64) and evicts the oldest system first; a singular
+    system raises ``DecodeError`` and is not cached.
+    Shares at further coordinates are re-encoded from the solution and must
+    match it, and copies of a share at one coordinate must be identical, so
+    a corrupted share among more than K does not decode in silence.
     """
     shares = list(shares)
     seen: dict[int, Share] = {}
@@ -148,30 +193,27 @@ def decode(config: CodecConfig, shares) -> np.ndarray:
     length = len(chosen[0].symbols)
     if any(len(s.symbols) != length for s in seen.values()):
         raise DecodeError("shares carry inconsistent symbol-sequence lengths")
-    gen = generator_matrix(config)
-    cols = gen.data[:, [s.u for s in chosen]]  # (K, K)
-    rhs = np.stack([np.asarray(s.symbols, dtype=np.int64) for s in chosen])  # (K, W)
-    if rhs.size and (rhs.min() < 0 or rhs.max() >= config.field.q):
-        raise DecodeError(
-            f"share symbol out of range [0, {config.field.q}): share data is corrupt"
-        )
-    try:
-        system = MatrixGF(config.field, cols.T)  # row i: generator column u_i
-    except ValueError as e:
-        raise DecodeError(str(e)) from None
-    try:
-        solution = solve_many(system, rhs)  # (K, W)
-    except SingularMatrixError:
-        raise DecodeError("singular decode system: share data is corrupt") from None
+    rhs = np.stack([np.asarray(s.symbols) for s in chosen])  # (K, W)
+    if rhs.size:
+        if rhs.dtype.kind not in "iu":
+            raise DecodeError(f"share symbols must be integers, got dtype {rhs.dtype}")
+        if rhs.min() < 0 or rhs.max() >= config.field.q:
+            raise DecodeError(
+                f"share symbol out of range [0, {config.field.q}): share data is corrupt"
+            )
+    inv = _inverse(config, tuple(coords[: config.k]))
+    tables = config.field.tables()
+    solution = kernels._matmul(inv, rhs, *tables)  # (K, W), narrow symbols
     surplus = coords[config.k :]
     if surplus:
-        expected = kernels.matmul(gen.data[:, surplus].T, solution, *config.field.tables())
+        gen = _full_generator(config.field, config.k, config.kind)
+        expected = kernels._matmul(gen.data[:, surplus].T, solution, *tables)
         for u, row in zip(surplus, expected):
             if not np.array_equal(row, seen[u].symbols):
                 raise DecodeError(
                     f"share {u} disagrees with the other shares: share data is corrupt"
                 )
-    return solution.T.copy()  # (W, K)
+    return solution.T.astype(np.int64, order="C")  # (W, K)
 
 
 # -- byte <-> symbol framing ------------------------------------------------------

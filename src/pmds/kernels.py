@@ -19,12 +19,15 @@ multiplication is one gather on an extended antilog table read at
 no product needs a mask for its zero operands.  Matrices passed in are int64
 arrays of element indices.
 
-``matmul`` uses that the slice ``exp_ext[log[c]:]`` is the full row of
-products by the coefficient c, so one 1-D gather multiplies a whole operand
-row by c.  Zero coefficients are skipped, so a generator's zeros cost
-nothing.  Products are accumulated by XOR (p = 2), as an integer sum reduced
-mod p (h = 1), or digit-wise (odd p, h > 1).  Its result holds narrow
-symbols: ``uint8`` for q <= 256, ``uint16`` above.
+Over a prime field (h = 1) ``matmul`` is one exact int64 product per block
+of about ``_BLOCK`` output entries, reduced mod p once: an inner dimension
+of K sums K products of at most (p - 1)^2, and K (p - 1)^2 < 2^63 for every
+K <= q <= 2^16, so no partial sum overflows.  For h > 1 it uses that the
+slice ``exp_ext[log[c]:]`` is the full row of products by the coefficient c,
+so one 1-D gather multiplies a whole operand row by c; zero coefficients are
+skipped, so a generator's zeros cost nothing, and products are accumulated
+by XOR (p = 2) or digit-wise (odd p).  Its result holds narrow symbols:
+``uint8`` for q <= 256, ``uint16`` above.
 """
 
 from __future__ import annotations
@@ -147,17 +150,28 @@ def _matmul(a, b, p, h, q, logt, expt):
     return _product_rows(a, b, p, h, logt, expt)
 
 
-# The public product.  solve_in_place and the simulator's rank tracker call
-# _matmul, so a wrapper around ``matmul`` (counting encode products, say) sees
-# neither decodes nor rank tracking.
+# The public product.  solve_in_place, codec.decode and the simulator's rank
+# tracker call _matmul, so a wrapper around ``matmul`` (counting encode
+# products, say) sees neither decodes nor rank tracking.
 matmul = _matmul
 
 
 def _product_rows(coef, x, p, h, logt, expt):
-    """out[i] = sum over t of coef[i, t] * x[t], skipping zero coefficients."""
+    """out[i] = sum over t of coef[i, t] * x[t].
+
+    Over GF(p) one exact int64 product per block of about ``_BLOCK`` output
+    entries; otherwise one gather per nonzero coefficient.
+    """
     lt, log_ext, exp_ext = _field_tables(logt, expt)
-    length = x.shape[1]
-    out = np.zeros((coef.shape[0], length), dtype=exp_ext.dtype)
+    rows, length = coef.shape[0], x.shape[1]
+    out = np.zeros((rows, length), dtype=exp_ext.dtype)
+    if h == 1:
+        coef = np.asarray(coef, dtype=np.int64)
+        step = max(1, _BLOCK // max(rows, 1))
+        for s in range(0, length, step):
+            block = coef @ x[:, s : s + step].astype(np.int64, copy=False)
+            out[:, s : s + step] = np.remainder(block, p, out=block)
+        return out
     xlog = log_ext[x]
     passes = [[(t, lt[c]) for t, c in enumerate(row) if c] for row in coef.tolist()]
     for s in range(0, length, _BLOCK):
@@ -166,11 +180,6 @@ def _product_rows(coef, x, p, h, logt, expt):
             if p == 2:
                 for t, lc in terms:
                     acc ^= exp_ext[lc:][xs[t]]
-            elif h == 1:
-                total = np.zeros(acc.size, dtype=np.int64)
-                for t, lc in terms:
-                    total += exp_ext[lc:][xs[t]]
-                acc[:] = total % p
             else:
                 for t, lc in terms:
                     acc[:] = v_add(acc, exp_ext[lc:][xs[t]], p, h)

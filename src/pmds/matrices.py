@@ -17,11 +17,20 @@ class SingularMatrixError(ValueError):
     """Raised when a linear solve meets a singular coefficient matrix."""
 
 
+def int_array(data) -> np.ndarray:
+    """A fresh int64 copy of integer data; ValueError for any other dtype,
+    so that 2.9 is never read as the element 2."""
+    arr = np.array(data)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"field elements must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 class MatrixGF:
     __slots__ = ("field", "data")
 
     def __init__(self, field: GF, data):
-        arr = np.array(data, dtype=np.int64, copy=True)
+        arr = int_array(data)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"matrix data must be 2-D and non-empty, got shape {arr.shape}")
         if np.any((arr < 0) | (arr >= field.q)):
@@ -67,7 +76,7 @@ def solve_many(a: MatrixGF, b) -> np.ndarray:
     """
     if a.rows != a.cols:
         raise ValueError(f"coefficient matrix must be square, got {a.rows}x{a.cols}")
-    bmat = np.array(b, dtype=np.int64, copy=True)
+    bmat = int_array(b)
     if bmat.ndim != 2 or bmat.shape[0] != a.rows:
         raise ValueError("right-hand side shape does not match the system")
     if np.any((bmat < 0) | (bmat >= a.field.q)):
@@ -81,7 +90,7 @@ def solve_many(a: MatrixGF, b) -> np.ndarray:
 
 def solve(a: MatrixGF, b) -> np.ndarray:
     """Solve a @ x = b for a vector b; returns x as an int64 vector."""
-    vec = np.asarray(b, dtype=np.int64)
+    vec = int_array(b)
     if vec.ndim != 1:
         raise ValueError("b must be a vector")
     return solve_many(a, vec[:, None])[:, 0]
@@ -114,7 +123,7 @@ def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
 
 def vec_mat_mul(vec, m: MatrixGF) -> np.ndarray:
     """Row vector times matrix."""
-    row = np.asarray(vec, dtype=np.int64)
+    row = int_array(vec)
     if row.ndim != 1 or row.shape[0] != m.rows:
         raise ValueError("vector length must equal the matrix row count")
     if np.any((row < 0) | (row >= m.field.q)):

@@ -103,6 +103,25 @@ def ref_rank(ref: RefGF, rows) -> int:
     return r
 
 
+def ref_solve(ref: RefGF, a_rows, b_rows):
+    """X with a X = b for a nonsingular square a, by Gauss-Jordan elimination
+    written against the oracle arithmetic; None if a is singular."""
+    k = len(a_rows)
+    mat = [list(a) + list(b) for a, b in zip(a_rows, b_rows)]
+    for c in range(k):
+        piv = next((i for i in range(c, k) if mat[i][c] != 0), None)
+        if piv is None:
+            return None
+        mat[c], mat[piv] = mat[piv], mat[c]
+        pinv = ref.inv(mat[c][c])
+        mat[c] = [ref.mul(x, pinv) for x in mat[c]]
+        for i in range(k):
+            f = mat[i][c]
+            if i != c and f:
+                mat[i] = [ref.sub(x, ref.mul(f, y)) for x, y in zip(mat[i], mat[c])]
+    return [row[k:] for row in mat]
+
+
 def make_ref(field) -> RefGF:
     """Oracle over the same (p, h, reduction polynomial) as a pmds field."""
     return RefGF(field.p, field.h, field.reduction_poly)

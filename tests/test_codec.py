@@ -6,6 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from pmds import codec
 from pmds.codec import (
     CodecConfig,
     DecodeError,
@@ -21,7 +22,9 @@ from pmds.codec import (
     write_share,
 )
 from pmds.fields import make_field
+from pmds.matrices import MatrixGF
 from pmds.pascal import supplemented_pascal
+from reference_gf import make_ref, ref_solve
 
 F5 = make_field(5)
 F16 = make_field(2, 4)
@@ -72,6 +75,24 @@ def test_encode_validates_word_length():
         encode(cfg, [[1, 2, 3]])
     with pytest.raises(ValueError):
         encode(cfg, [[1, 9]])
+
+
+def test_encode_rejects_non_integer_symbols():
+    cfg = CodecConfig(F5, 3)
+    with pytest.raises(ValueError, match="integers"):
+        encode(cfg, [[1.7, 2, 3]])  # would decode as [[1, 2, 3]]
+    with pytest.raises(ValueError, match="integers"):
+        encode(cfg, np.ones((2, 3)))
+    msg = np.array([[1, 2, 3]], dtype=np.int32)
+    assert decode(cfg, encode(cfg, msg)[:3]).tolist() == [[1, 2, 3]]
+    assert decode(cfg, encode(cfg, [[1, 2, 3]])[:3]).tolist() == [[1, 2, 3]]
+
+
+def test_decode_rejects_non_integer_symbols():
+    cfg = CodecConfig(F5, 2)
+    shares = encode(cfg, [[1, 1]])
+    with pytest.raises(DecodeError, match="integers"):
+        decode(cfg, [shares[0], Share(1, np.array([2.0]))])
 
 
 def test_decode_roundtrip_first_k():
@@ -141,6 +162,102 @@ def test_decode_rejects_disagreeing_copies_of_a_share():
             decode(cfg, order)
     twin = Share(0, shares[0].symbols.copy())
     assert decode(cfg, [twin, *shares[:3]]).tolist() == msg
+
+
+# -- the decode inverse cache --------------------------------------------------------
+
+
+@pytest.fixture
+def inverses(monkeypatch):
+    """An empty inverse cache for one test; the module's own comes back after."""
+    cache = codec._Inverses()
+    monkeypatch.setattr(codec, "_inverses", cache)
+    return cache
+
+
+def _no_solve(*_):
+    raise AssertionError("a cached system was eliminated again")
+
+
+@pytest.mark.parametrize(
+    "field,k,cols",
+    [(F16, 4, (1, 5, 9, 16)), (make_field(257), 5, (0, 2, 100, 200, 257)), (F5, 3, (3, 4, 5))],
+    ids=repr,
+)
+def test_decode_cache_hit_and_miss_match_oracle(field, k, cols, inverses, monkeypatch):
+    cfg = CodecConfig(field, k)
+    msg = np.random.default_rng(field.q + k).integers(0, field.q, size=(7, k))
+    shares = encode(cfg, msg)
+    picked = [shares[u] for u in cols]
+    system = generator_matrix(cfg).data[:, list(cols)].T.tolist()
+    rhs = [s.symbols.tolist() for s in picked]
+    expected = np.array(ref_solve(make_ref(field), system, rhs)).T
+    assert np.array_equal(expected, msg)
+    miss = decode(cfg, picked)
+    assert list(inverses.systems) == [(field, k, cfg.kind, cols)]
+    monkeypatch.setattr(codec, "solve_many", _no_solve)
+    hit = decode(cfg, picked[::-1])  # order of the shares does not matter
+    assert np.array_equal(miss, expected) and np.array_equal(hit, expected)
+    assert miss.dtype == hit.dtype == np.int64
+
+
+def test_decode_cache_evicts_oldest_within_budget(inverses):
+    k = 3
+    inverses.budget = 3 * k * k + 4  # three K = 3 systems
+    cfg = CodecConfig(F16, k)
+    msg = [[1, 2, 3], [15, 0, 7]]
+    shares = encode(cfg, msg)
+    subsets = list(combinations(range(cfg.n), k))[:8]
+    for i, cols in enumerate(subsets * 2):  # every system is evicted and comes back
+        assert decode(cfg, [shares[u] for u in cols]).tolist() == msg
+        assert inverses.entries == sum(inv.size for inv in inverses.systems.values())
+        assert inverses.entries <= inverses.budget
+        order = [key[3] for key in inverses.systems]
+        assert order == [subsets[j % 8] for j in range(max(0, i - 2), i + 1)]
+    k4 = CodecConfig(F16, 4)  # a larger system evicts as many as it needs
+    assert decode(k4, encode(k4, [[1, 2, 3, 4]])[:4]).tolist() == [[1, 2, 3, 4]]
+    assert inverses.entries == 16 + 9 <= inverses.budget
+
+
+def test_decode_cache_keeps_no_singular_system(inverses, monkeypatch):
+    # A generator whose columns 0 and 1 are equal: that pair cannot decode.
+    data = supplemented_pascal(F5, 2).data.copy()
+    data[:, 1] = data[:, 0]
+    monkeypatch.setattr(codec, "_full_generator", lambda *_: MatrixGF(F5, data))
+    cfg = CodecConfig(F5, 2)
+    shares = encode(cfg, [[1, 2]])
+    with pytest.raises(DecodeError, match="singular"):
+        decode(cfg, shares[:2])
+    assert inverses.systems == {} and inverses.entries == 0
+    assert decode(cfg, shares[1:3]).tolist() == [[1, 2]]
+
+
+def test_decode_cache_hit_still_checks_the_shares(inverses, monkeypatch):
+    cfg = CodecConfig(F5, 3)
+    msg = [[1, 2, 3], [4, 0, 1]]
+    shares = encode(cfg, msg)
+    assert decode(cfg, shares[:3]).tolist() == msg  # fills the cache
+    monkeypatch.setattr(codec, "solve_many", _no_solve)
+    assert list(inverses.systems) == [(F5, 3, cfg.kind, (0, 1, 2))]
+    with pytest.raises(DecodeError, match="out of range"):
+        decode(cfg, [shares[0], shares[1], Share(2, np.array([5, 0]))])
+    with pytest.raises(DecodeError, match="coordinate 1"):
+        decode(cfg, [*shares[:3], Share(1, (shares[1].symbols + 1) % 5)])
+    bad = Share(4, (shares[4].symbols + 1) % 5)
+    with pytest.raises(DecodeError, match="disagrees"):
+        decode(cfg, [*shares[:3], bad])
+    assert decode(cfg, shares[:5]).tolist() == msg
+
+
+def test_decode_cache_is_shared_across_n(inverses, monkeypatch):
+    field = make_field(257)
+    short, full = CodecConfig(field, 16, n=20), CodecConfig(field, 16)
+    msg = np.random.default_rng(5).integers(0, 257, size=(9, 16))
+    cols = [0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 17, 19]
+    assert np.array_equal(decode(short, [encode(short, msg)[u] for u in cols]), msg)
+    monkeypatch.setattr(codec, "solve_many", _no_solve)
+    assert np.array_equal(decode(full, [encode(full, msg)[u] for u in cols]), msg)
+    assert len(inverses.systems) == 1
 
 
 @pytest.mark.parametrize(

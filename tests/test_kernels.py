@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pmds import kernels
+from pmds.codec import CodecConfig, encode, generator_matrix
 from pmds.fields import make_field
 from reference_gf import make_ref, ref_rank
 
@@ -118,3 +119,35 @@ def test_solve_vectorised_matches_oracle(field):
     singular = a.copy()
     singular[k - 1] = singular[3]
     assert kernels.solve_in_place(singular, b.copy(), *t) == 1
+
+
+# GF(65521), the largest prime field: the exact int64 product's worst case is
+# every operand p - 1 over a long inner dimension.
+@pytest.mark.parametrize("shape", [(5, 4099, 3), (3, 4099, 5)], ids=["over-cols", "over-rows"])
+def test_prime_product_worst_case_is_exact(shape, monkeypatch):
+    monkeypatch.setattr(kernels, "_BLOCK", 7)  # blocks with ragged edges
+    field = make_field(65521)
+    p = field.p
+    rows, inner, cols = shape
+    rng = np.random.default_rng(inner)
+    a = np.full((rows, inner), p - 1, dtype=np.int64)
+    b = np.full((inner, cols), p - 1, dtype=np.int64)
+    a[1] = rng.integers(p - 9, p, size=inner)  # one row and one column near the top
+    b[:, 1] = rng.integers(p - 9, p, size=inner)
+    got = kernels.matmul(a, b, *field.tables())
+    a_int, b_int = a.tolist(), b.T.tolist()
+    expected = [[sum(x * y for x, y in zip(r, c)) % p for c in b_int] for r in a_int]
+    assert got.dtype == np.uint16
+    assert got.tolist() == expected
+
+
+def test_prime_encode_is_narrow_with_contiguous_shares(monkeypatch):
+    monkeypatch.setattr(kernels, "_BLOCK", 1000)  # several ragged blocks
+    cfg = CodecConfig(make_field(257), 16)
+    words = np.random.default_rng(257).integers(0, 257, size=(300, 16))
+    shares = encode(cfg, words)  # 300 words >= 258 shares: one column per share
+    assert len(shares) == 258
+    assert all(s.symbols.dtype == np.uint16 and s.symbols.flags.c_contiguous for s in shares)
+    gen = generator_matrix(cfg).data
+    expected = (words.astype(object) @ gen.astype(object)) % 257  # Python ints
+    assert np.array_equal(np.stack([s.symbols for s in shares], axis=1), expected)

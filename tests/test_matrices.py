@@ -35,6 +35,17 @@ def test_matrix_validation():
     assert (m.rows, m.cols) == (2, 2)
 
 
+def test_matrix_rejects_non_integer_entries():
+    with pytest.raises(ValueError, match="integers"):
+        MatrixGF(F5, [[2.9, 1]])  # would be read as [[2, 1]]
+    with pytest.raises(ValueError, match="integers"):
+        MatrixGF(F5, np.array([[1.0, 2.0]]))
+    with pytest.raises(ValueError, match="integers"):
+        solve(MatrixGF(F5, [[1, 0], [0, 1]]), [1.5, 2])
+    assert MatrixGF(F5, np.array([[2, 1]], dtype=np.uint8)).tolist() == [[2, 1]]
+    assert MatrixGF(F5, [[np.int32(2), 1]]).data.dtype == np.int64
+
+
 def test_rank_identity():
     assert rank(MatrixGF(F5, np.eye(3, dtype=int))) == 3
 
