@@ -6,7 +6,9 @@ One numpy implementation per operation:
   loops one table-driven pivot step (``_pivot``, which the simulator's rank
   tracker also uses); a solve with more right-hand sides than unknowns
   inverts once and applies the inverse with the product kernel;
-* ``matmul`` -- a table-driven product kernel;
+* ``matmul`` -- a table-driven product kernel: row gathers from tables of
+  multiples for long extension-field products, one gather per coefficient
+  otherwise;
 * ``mds_scan`` -- a depth-first walk of the lexicographic combination tree
   that eliminates each column prefix once, for all the subsets through it,
   and tests every pair that completes a (k-2)-column prefix with one
@@ -22,15 +24,29 @@ arrays of element indices.
 Over a prime field (h = 1) ``matmul`` is one exact int64 product per block
 of about ``_BLOCK`` output entries, reduced mod p once: an inner dimension
 of K sums K products of at most (p - 1)^2, and K (p - 1)^2 < 2^63 for every
-K <= q <= 2^16, so no partial sum overflows.  For h > 1 it uses that the
-slice ``exp_ext[log[c]:]`` is the full row of products by the coefficient c,
-so one 1-D gather multiplies a whole operand row by c; zero coefficients are
-skipped, so a generator's zeros cost nothing, and products are accumulated
-by XOR (p = 2) or digit-wise (odd p).  Its result holds narrow symbols:
-``uint8`` for q <= 256, ``uint16`` above.
+K <= q <= 2^16, so no partial sum overflows.
+
+For h > 1 a long product gathers whole rows from tables of multiples of
+its short side c: for each inner index t where c has a nonzero entry,
+T_t[a, :] = a * c[:, t] for all q elements a, one 2-D gather padded to
+8-byte rows.  A block of output columns is then one row gather per table
+at the operand's symbols, summed by XOR of whole uint64 lanes (8 uint8 or
+4 uint16 symbols, p = 2) or digit-wise (odd p), and stored transposed.  Zero coefficients sit in
+the tables as zero entries, so they cost no per-word work.  The tables are
+used only when they hold at most a quarter as many entries as the nonzero
+products they replace (so the long side has at least 4q entries) and fit
+``_TABLE_BYTES`` = 4 MiB together, a constant.  Every other product -- the
+simulator's tiny vectors, short decodes, GF(2^16) products at the default
+n -- uses that the slice ``exp_ext[log[c]:]`` is the full row of products by
+the coefficient c, so one 1-D gather multiplies a whole operand row by c;
+zero coefficients are skipped, so a generator's zeros cost nothing, and
+products are accumulated by XOR (p = 2) or digit-wise (odd p).  The result
+holds narrow symbols: ``uint8`` for q <= 256, ``uint16`` above.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -59,6 +75,7 @@ def v_mul(a, b, q, logt, expt):
 # -- elimination and products ---------------------------------------------------
 
 _BLOCK = 16384  # product entries per pass: a block of operand logs stays in cache
+_TABLE_BYTES = 1 << 22  # bytes of all the tables of multiples of one product
 
 _table_cache: dict[int, tuple] = {}
 
@@ -160,7 +177,8 @@ def _product_rows(coef, x, p, h, logt, expt):
     """out[i] = sum over t of coef[i, t] * x[t].
 
     Over GF(p) one exact int64 product per block of about ``_BLOCK`` output
-    entries; otherwise one gather per nonzero coefficient.
+    entries.  Otherwise row gathers from tables of multiples where they
+    pay (see ``_multiples``), else one gather per nonzero coefficient.
     """
     lt, log_ext, exp_ext = _field_tables(logt, expt)
     rows, length = coef.shape[0], x.shape[1]
@@ -171,6 +189,10 @@ def _product_rows(coef, x, p, h, logt, expt):
         for s in range(0, length, step):
             block = coef @ x[:, s : s + step].astype(np.int64, copy=False)
             out[:, s : s + step] = np.remainder(block, p, out=block)
+        return out
+    tables = _multiples(coef, length, log_ext, exp_ext)
+    if tables is not None:
+        _gather_rows(out, tables, x, p, h)
         return out
     xlog = log_ext[x]
     passes = [[(t, lt[c]) for t, c in enumerate(row) if c] for row in coef.tolist()]
@@ -184,6 +206,61 @@ def _product_rows(coef, x, p, h, logt, expt):
                 for t, lc in terms:
                     acc[:] = v_add(acc, exp_ext[lc:][xs[t]], p, h)
     return out
+
+
+def _multiples(coef, length, log_ext, exp_ext):
+    """The tables of multiples of coef's nonzero columns, as (live, tables),
+    or None where they do not pay.
+
+    tables[j, a, i] is a * coef[i, live[j]] for every element a, with rows
+    padded by zeros to whole 8-byte lanes.  They pay when they hold at most
+    a quarter as many entries as the nonzero products they replace, so the
+    long side has at least 4q entries, and when they fit ``_TABLE_BYTES``.
+    """
+    q = log_ext.size
+    if length < 4 * q:  # implied by the entry count below, and cheap to test
+        return None
+    rows = coef.shape[0]
+    lanes = 8 // exp_ext.itemsize
+    width = -(-rows // lanes) * lanes
+    live = [t for t in range(coef.shape[1]) if coef[:, t].any()]
+    entries = len(live) * q * width
+    if (
+        not live
+        or 4 * entries > np.count_nonzero(coef) * length
+        or entries * exp_ext.itemsize > _TABLE_BYTES
+    ):
+        return None
+    tables = np.zeros((len(live), q, width), dtype=exp_ext.dtype)
+    for j, t in enumerate(live):
+        tables[j, :, :rows] = exp_ext[log_ext[:, None] + log_ext[coef[:, t]]]
+    return live, tables
+
+
+def _gather_rows(out, multiples, x, p, h):
+    """out[:, s] = sum over live t of tables[t][x[t, s]]: one row gather per
+    live t for a block of columns, each block stored transposed into out.
+
+    Over p = 2 the rows are XORed as whole uint64 lanes; otherwise they are
+    accumulated digit-wise in int64.
+    """
+    live, tables = multiples
+    rows, length = out.shape
+    # Blocks of 16 _BLOCK bytes of table rows: about 1,000 words of 264-byte
+    # rows, the fastest block measured for a GF(2^8), K=8 encode.
+    step = max(1, (_BLOCK << 4) // (tables.shape[2] * tables.itemsize))
+    if p == 2:
+        tables, acc, add = tables.view(np.uint64), np.uint64, operator.ixor
+    else:
+        acc, add = np.int64, add_sub(p, h)[0]
+    for s in range(0, length, step):
+        e = min(s + step, length)
+        block = np.zeros((e - s, tables.shape[2]), dtype=acc)
+        for table, t in zip(tables, live):
+            block = add(block, np.take(table, x[t, s:e], axis=0))
+        if p == 2:
+            block = block.view(out.dtype)
+        out[:, s:e] = block[:, :rows].T
 
 
 # -- the MDS scan ------------------------------------------------------------------

@@ -405,6 +405,22 @@ def test_write_share_rejects_out_of_range_symbols():
         assert buf.getvalue() == b""  # nothing written
 
 
+def test_write_share_range_scan_by_dtype():
+    """Unsigned symbols whose dtype cannot hold q need no range scan and
+    frame as usual; every other dtype is still scanned."""
+    for field, dtype in ((F256, np.uint8), (make_field(2, 16), np.uint16)):
+        cfg = CodecConfig(field, 2)
+        top = np.array([0, field.q - 1], dtype=dtype)
+        buf = io.BytesIO()
+        write_share(buf, cfg, Share(0, top), 2)
+        assert buf.getvalue()[-top.nbytes:] == top.astype(">u%d" % top.itemsize).tobytes()
+    for field, syms in ((make_field(2, 4), np.array([1, 16], np.uint8)),
+                        (make_field(257), np.array([1, 257], np.uint16)),
+                        (F256, np.array([1, 256], np.uint16))):
+        with pytest.raises(ValueError, match="out of range"):
+            write_share(io.BytesIO(), CodecConfig(field, 2), Share(0, syms), 2)
+
+
 def test_share_frame_errors():
     cfg = CodecConfig(F5, 2, "supplemented_pascal")
     shares = encode(cfg, [[1, 2]])
@@ -441,21 +457,28 @@ def test_share_frame_invalid_field_is_decode_error(p, h, k, reason):
 
 
 # Digest over every frame (in coordinate order) that encode + write_share make
-# from 3001 seeded bytes.  Pins the frame bytes, symbol widths and framing.
+# from seeded bytes.  Pins the frame bytes, symbol widths and framing.  The
+# 65,537-byte GF(2^8) payload is 8,193 words: several row blocks of the
+# gather from tables of multiples plus a one-word tail.  Its digest was
+# recorded with the per-coefficient product, so the row gathers are pinned
+# byte for byte against it.
 GOLDEN_FRAMES = [
-    ((2, 8), 8, None, 1, "e5644435037b09f7d0b3d0f4e31dc373074491e4a3ca9ffd9dfe5f12a20c7c58"),
-    ((257, 1), 16, 20, 2, "4600f4506bf4a98a8cd216c94e10bb2cdaae49a72438ead1ae6c6f06e320ca39"),
-    ((3, 2), 3, None, 3, "62e89240a6959ddbab1e72a94737d185157eb3e73d9be76dabccce5cd1cfdb55"),
-    ((2, 16), 4, 12, 4, "4406828b6ee02619109bed19f9231c53b1fb98580e6eaa58224f6fc9c0f31fea"),
+    ((2, 8), 8, None, 1, 3001, "e5644435037b09f7d0b3d0f4e31dc373074491e4a3ca9ffd9dfe5f12a20c7c58"),
+    ((257, 1), 16, 20, 2, 3001, "4600f4506bf4a98a8cd216c94e10bb2cdaae49a72438ead1ae6c6f06e320ca39"),
+    ((3, 2), 3, None, 3, 3001, "62e89240a6959ddbab1e72a94737d185157eb3e73d9be76dabccce5cd1cfdb55"),
+    ((2, 16), 4, 12, 4, 3001, "4406828b6ee02619109bed19f9231c53b1fb98580e6eaa58224f6fc9c0f31fea"),
+    ((2, 8), 8, None, 5, 65537, "0ae3bb2c0de77bed1fa77a0121c8a201f9f1f02a670d82f49413d3c6a2929881"),
 ]
 
 
 @pytest.mark.parametrize(
-    "ph,k,n,seed,expected", GOLDEN_FRAMES, ids=["gf256", "gf257", "gf9", "gf65536"]
+    "ph,k,n,seed,size,expected",
+    GOLDEN_FRAMES,
+    ids=["gf256", "gf257", "gf9", "gf65536", "gf256-blocks"],
 )
-def test_share_frames_golden(ph, k, n, seed, expected):
+def test_share_frames_golden(ph, k, n, seed, size, expected):
     cfg = CodecConfig(make_field(*ph), k, n=n)
-    data = np.random.default_rng(seed).integers(0, 256, 3001, dtype=np.uint8).tobytes()
+    data = np.random.default_rng(seed).integers(0, 256, size, dtype=np.uint8).tobytes()
     words, length = bytes_to_words(cfg, data)
     digest = hashlib.sha256()
     for share in encode(cfg, words):

@@ -1,5 +1,7 @@
 """Kernel checks against the independent oracle in ``reference_gf``."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,149 @@ def test_prime_encode_is_narrow_with_contiguous_shares(monkeypatch):
     gen = generator_matrix(cfg).data
     expected = (words.astype(object) @ gen.astype(object)) % 257  # Python ints
     assert np.array_equal(np.stack([s.symbols for s in shares], axis=1), expected)
+
+
+# -- products by row gathers from tables of multiples ---------------------------
+
+
+def _spy_tables(monkeypatch):
+    """Record the output shape of every product that gathers table rows."""
+    calls = []
+    gather = kernels._gather_rows
+
+    def spy(out, *args):
+        calls.append(out.shape)
+        gather(out, *args)
+
+    monkeypatch.setattr(kernels, "_gather_rows", spy)
+    return calls
+
+
+def _by_coefficient(a, b, field, monkeypatch):
+    """a @ b by one gather per coefficient: no table fits a bound of 0."""
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_TABLE_BYTES", 0)
+        return kernels.matmul(a, b, *field.tables())
+
+
+def _dense(rng, q, shape):
+    return rng.integers(1, q, size=shape).astype(np.int64)
+
+
+# (field, rows of the short side, long side): uint8 XOR with rows that are
+# not whole 8-byte lanes, and digit-wise sums at GF(9).  Each long side is
+# past the switch for 3 live inner indices and one all-zero short row.
+TABLE_CASES = [(make_field(2, 8), 5, 2049), (make_field(2, 8), 257, 1101),
+               (make_field(3, 2), 5, 301)]
+
+
+@pytest.mark.parametrize("field,rows,length", TABLE_CASES,
+                         ids=["gf256-rows5", "gf256-rows257", "gf9-rows5"])
+@pytest.mark.parametrize("over_cols", [True, False], ids=["over-cols", "over-rows"])
+def test_table_product_matches_oracle(field, rows, length, over_cols, monkeypatch):
+    # Blocks of 1600 bytes: 200 words of 8-byte rows, 6 of 264-byte rows,
+    # each with a ragged last block.
+    monkeypatch.setattr(kernels, "_BLOCK", 100)
+    calls = _spy_tables(monkeypatch)
+    rng = np.random.default_rng(rows + length + field.q)
+    inner = 4
+    short = _dense(rng, field.q, (rows, inner))
+    short[:, 1] = 0  # an inner index with no coefficient: no table
+    short[3] = 0  # an output row of zeros
+    long = rng.integers(0, field.q, size=(inner, length))
+    long[:, 7] = 0  # an all-zero operand column
+    a, b = (long.T, short.T) if over_cols else (short, long)
+    got = kernels.matmul(a, b, *field.tables())
+    assert calls == [(rows, length)]
+    assert got.dtype == (np.uint8 if field.q <= 256 else np.uint16)
+    if rows * length <= 20_000:
+        expected = _ref_matmul(make_ref(field), a, b)
+    else:
+        expected = _by_coefficient(a, b, field, monkeypatch)
+    assert np.array_equal(got, expected)
+    if over_cols:
+        assert got[:, 0].flags.c_contiguous  # output columns are contiguous
+        assert not got[:, 3].any()
+    else:
+        assert not got[3].any()
+
+
+def test_table_product_uint16_lanes(monkeypatch):
+    """XOR of 4 uint16 symbols per lane at GF(2^16), with a long side past
+    the switch for four rows and two live inner indices (4 * 2 * q * 4 <=
+    8 * length), checked in full against the per-coefficient loop and on a
+    column sample against the oracle."""
+    field = make_field(2, 16)
+    rng = np.random.default_rng(16)
+    a = _dense(rng, field.q, (4, 2))
+    b = rng.integers(0, field.q, size=(2, 4 * field.q + 3))
+    calls = _spy_tables(monkeypatch)
+    got = kernels.matmul(a, b, *field.tables())
+    assert calls == [(4, b.shape[1])]
+    assert got.dtype == np.uint16
+    assert np.array_equal(got, _by_coefficient(a, b, field, monkeypatch))
+    sample = np.r_[0:40, b.shape[1] - 40 : b.shape[1]]
+    assert np.array_equal(got[:, sample], _ref_matmul(make_ref(field), a, b[:, sample]))
+
+
+@pytest.mark.parametrize("rows,length,tables",
+                         [(8, 63, False), (8, 64, True), (6, 85, False), (6, 86, True)])
+def test_table_switch(rows, length, tables, monkeypatch):
+    """Over GF(16) with 2 dense inner indices, the tables hold 2 * 16 * 8
+    entries for 6 or 8 rows (padded to 8-byte lanes).  They are used from
+    the long side where that is a quarter of the rows * 2 * length products
+    replaced: 64 = 4q for 8 rows, 86 for 6 rows."""
+    field = make_field(2, 4)
+    calls = _spy_tables(monkeypatch)
+    rng = np.random.default_rng(length)
+    a = _dense(rng, field.q, (rows, 2))
+    b = rng.integers(0, field.q, size=(2, length))
+    got = kernels.matmul(a, b, *field.tables())
+    assert bool(calls) is tables
+    assert np.array_equal(got, _ref_matmul(make_ref(field), a, b))
+
+
+def test_tables_over_the_bound_fall_back(monkeypatch):
+    """64 live inner indices with 264-byte rows need 64 * 256 * 264 B, over
+    ``_TABLE_BYTES``: the per-coefficient loop runs, and agrees with the
+    tables once the bound is raised."""
+    field = make_field(2, 8)
+    rng = np.random.default_rng(64)
+    a = _dense(rng, field.q, (264, 64))
+    b = rng.integers(0, field.q, size=(64, 1100))
+    assert 64 * 256 * 264 > kernels._TABLE_BYTES
+    calls = _spy_tables(monkeypatch)
+    got = kernels.matmul(a, b, *field.tables())
+    assert calls == []
+    monkeypatch.setattr(kernels, "_TABLE_BYTES", 1 << 23)
+    assert np.array_equal(kernels.matmul(a, b, *field.tables()), got)
+    assert calls == [(264, 1100)]
+    assert np.array_equal(got[:, :3], _ref_matmul(make_ref(field), a, b[:, :3]))
+
+
+@pytest.mark.parametrize("k,words", [(2, 1), (2, 8), (8, 4)])
+def test_gf65536_default_n_encode_builds_no_tables(k, words, monkeypatch):
+    calls = _spy_tables(monkeypatch)
+    cfg = CodecConfig(make_field(2, 16), k)
+    msg = np.random.default_rng(k * words).integers(0, 65536, size=(words, k))
+    shares = encode(cfg, msg)
+    assert len(shares) == 65537 and calls == []
+
+
+def test_decode_product_reads_rows_without_a_copy():
+    """An 8 x 8 inverse applied to 65,536 words at GF(2^8), as in a decode:
+    beyond its narrow output the product allocates under a quarter of the
+    int64 operand, so it copies neither the operand nor its logs."""
+    field = make_field(2, 8)
+    cfg = CodecConfig(field, 8)
+    inv = generator_matrix(cfg).data[:, 3:11].T.copy()  # 8 x 8 coefficients
+    rhs = np.random.default_rng(8).integers(0, 256, size=(8, 65536))
+    kernels.matmul(inv, rhs, *field.tables())  # field tables built
+    tracemalloc.start()
+    try:
+        got = kernels._matmul(inv, rhs, *field.tables())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < got.nbytes + rhs.nbytes // 4
+    assert np.array_equal(got[:, :50], _ref_matmul(make_ref(field), inv, rhs[:, :50]))
