@@ -3,9 +3,12 @@
 One numpy implementation per operation:
 
 * ``rank_in_place`` and ``solve_in_place`` -- Gauss-Jordan elimination that
-  loops one table-driven pivot step (``_pivot``, which the simulator's rank
-  tracker also uses); a solve with more right-hand sides than unknowns
-  inverts once and applies the inverse with the product kernel;
+  loops one table-driven pivot step (``_pivot``); a solve with more
+  right-hand sides than unknowns inverts once and applies the inverse with
+  the product kernel.  ``_pivot`` also takes a stack of matrices with one
+  (row, column) per matrix, and ``_span`` sums the rows of each matrix of a
+  stack with its own coefficients: together they are the simulator's rank
+  tracker step for all receivers at once;
 * ``matmul`` -- a table-driven product kernel: row gathers from tables of
   multiples for long extension-field products, one gather per coefficient
   otherwise;
@@ -103,16 +106,42 @@ def _field_tables(logt, expt):
 
 
 def _pivot(m, r, c, p, h, q, logt, expt):
-    """One Gauss-Jordan step on the int64 matrix m, in place: scale row r by
-    the inverse of m[r, c], then clear column c from every other row."""
+    """One Gauss-Jordan step, in place: scale row r by the inverse of m[r, c],
+    then clear column c from every other row.
+
+    m is one int64 matrix with int r and c, or a stack (n, rows, cols) with
+    int arrays r and c of length n, one step per matrix.  Both run the same
+    lines: for a stack, ``lead`` indexes the matrices in front of r and c.
+    """
     _, log_ext, exp_ext = _field_tables(logt, expt)
+    lead = (np.arange(m.shape[0]),) if m.ndim == 3 else ()
     # The log of the inverse is reduced mod q - 1: in GF(2) the unreduced
     # 1 - 0 would be the sentinel, and the row would scale to zeros.
-    linv = -int(log_ext[m[r, c]]) % (q - 1)
-    row = exp_ext[log_ext[m[r]] + linv]
+    linv = -log_ext[m[(*lead, r, c)]] % (q - 1)
+    row = exp_ext[log_ext[m[(*lead, r)]] + linv[..., None]]
     # Row r is cleared with the others, then overwritten with its scaled self.
-    m[:] = add_sub(p, h)[1](m, exp_ext[log_ext[m[:, c]][:, None] + log_ext[row]])
-    m[r] = row
+    at_c = log_ext[m[(*lead, slice(None), c)]]
+    m[...] = add_sub(p, h)[1](m, exp_ext[at_c[..., None] + log_ext[row][..., None, :]])
+    m[(*lead, r)] = row
+
+
+def _span(coef, basis, p, h, q, logt, expt):
+    """out[i] = sum over t of coef[i, t] * basis[i, t] for a stack of
+    matrices basis (n, rows, cols) and coefficients coef (n, rows): the
+    combination of each matrix's rows, summed with ``fields.add_sub`` by
+    halving the rows, about log2(rows) passes.
+    """
+    _, log_ext, exp_ext = _field_tables(logt, expt)
+    terms = exp_ext[log_ext[coef][:, :, None] + log_ext[basis]]
+    if p != 2:  # narrow symbols would wrap in a sum mod p
+        terms = terms.astype(np.int64)
+    add = add_sub(p, h)[0]
+    rows = terms.shape[1]
+    while rows > 1:
+        half = rows // 2
+        terms[:, :half] = add(terms[:, :half], terms[:, rows - half : rows])
+        rows -= half
+    return terms[:, 0]
 
 
 def _reduce(m, ncols, p, h, q, logt, expt):

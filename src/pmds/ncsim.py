@@ -16,6 +16,18 @@ Per-packet coefficient overhead: the random scheme must ship all K
 coefficients, ceil(K*log2(q)) bits; the pascal scheme ships only the column
 index u, ceil(log2(n)) bits for n transmissions.
 
+Rank tracking: ``_Accumulator`` keeps the bases of all receivers as one
+int64 stack (receivers, rows, K + L), each in reduced row-echelon form, where
+L is the payload length (0 without payload).  A transmission is reduced for
+every receiver that got it in one batched step: its entries at each basis's
+pivots are its coordinates, one ``kernels._span`` and one ``v_sub`` remove
+the span, and one stacked ``kernels._pivot`` adds the rank-raising rows.
+The coded payload rides in the same rows, so at rank K the coefficient part
+is the identity up to row order and row t must hold packet pivots[t]: that
+is the payload check, with no second elimination.  The stack grows by one
+row each time a receiver reaches a rank no receiver had reached, so its
+memory follows the highest rank, never K rows up front.
+
 Determinism: all randomness flows from the xorshift64* streams of ``rng``
 (stream 0 = sender coefficients, stream 1+r = receiver r erasures, stream
 receivers+1 = payload symbols).  A transmission is erased for a receiver
@@ -32,7 +44,8 @@ import numpy as np
 
 from . import kernels
 from .fields import GF
-from .matrices import MatrixGF, solve_many
+# Not called here: the benchmark's tracer patches this binding by name.
+from .matrices import solve_many  # noqa: F401
 from .pascal import supplemented_pascal
 from .rng import Xorshift64Star
 
@@ -147,36 +160,51 @@ def random_column(rng: Xorshift64Star, field: GF, k: int) -> np.ndarray:
 
 
 class _Accumulator:
-    """Incremental rank tracker: a basis of the received columns' span in
-    reduced row-echelon form."""
+    """The rank trackers of all receivers: one basis per receiver of the span
+    of its received rows, in reduced row-echelon form, as one int64 stack.
 
-    def __init__(self, field: GF, k: int):
+    A row is a coefficient column (K entries) followed by its coded payload,
+    if any, ``width`` entries in all; pivots lie in the coefficient part.
+    ``basis[i, t]`` is row t of receiver i, ``pivots[i, t]`` its pivot column
+    and ``rank[i]`` the number of live rows; the rows past the rank are zero.
+    The stack holds as many rows as the highest rank reached so far.
+    """
+
+    def __init__(self, field: GF, k: int, receivers: int, width: int):
         self.field = field
         self.k = k
-        self.pivots: list[int] = []
-        self.basis = np.zeros((0, k), dtype=np.int64)
+        self.basis = np.zeros((receivers, 0, width), dtype=np.int64)
+        self.pivots = np.zeros((receivers, 0), dtype=np.intp)
+        self.rank = np.zeros(receivers, dtype=np.intp)
 
-    def insert(self, column: np.ndarray) -> bool:
-        """Reduce the column against the basis; True if it raised the rank."""
-        field = self.field
-        v = column
-        if self.pivots:
-            # The basis is reduced, so the column's entries at the pivots are
-            # its coordinates along the basis rows.
-            coords = column[self.pivots][None, :]
-            span = kernels._matmul(coords, self.basis, *field.tables())[0]
-            v = kernels.v_sub(column, span, field.p, field.h)
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            return False
-        self.basis = np.vstack([self.basis, v])
-        kernels._pivot(self.basis, self.rank, int(nz[0]), *field.tables())
-        self.pivots.append(int(nz[0]))
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+    def insert(self, row: np.ndarray, receivers) -> np.ndarray:
+        """Reduce the row against the bases of the given receivers; for each,
+        True if the row raised its rank."""
+        tables = self.field.tables()
+        ids = np.asarray(receivers, dtype=np.intp)
+        if self.basis.shape[1]:
+            # Each basis is reduced, so the row's entries at its pivots are
+            # the row's coordinates along its rows.
+            span = kernels._span(row[self.pivots[ids]], self.basis[ids], *tables)
+            v = kernels.v_sub(row, span, self.field.p, self.field.h)
+        else:
+            v = np.repeat(row[None, :], ids.size, axis=0)
+        coef = v[:, : self.k] != 0
+        raised = coef.any(axis=1)
+        if raised.any():
+            ids, v, cols = ids[raised], v[raised], coef[raised].argmax(axis=1)
+            at = self.rank[ids]
+            if at.max() == self.basis.shape[1]:  # a rank no receiver had reached
+                n, _, width = self.basis.shape
+                self.basis = np.concatenate([self.basis, np.zeros((n, 1, width), np.int64)], 1)
+                self.pivots = np.concatenate([self.pivots, np.zeros((n, 1), np.intp)], 1)
+            m = self.basis[ids]
+            m[np.arange(ids.size), at] = v
+            kernels._pivot(m, at, cols, *tables)
+            self.basis[ids] = m
+            self.pivots[ids, at] = cols
+            self.rank[ids] = at + 1
+        return raised
 
 
 def run_sim(config: SimConfig) -> SimReport:
@@ -199,9 +227,8 @@ def run_sim(config: SimConfig) -> SimReport:
         )
 
     stats = [ReceiverStats(receiver_id=r) for r in range(config.receivers)]
-    acc = [_Accumulator(field, k) for _ in range(config.receivers)]
-    # Rank-raising receptions kept for payload decoding: (column, payload row).
-    kept: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(config.receivers)]
+    width = k + (config.payload_len if packets is not None else 0)
+    acc = _Accumulator(field, k, config.receivers, width)
 
     sent = 0
     for u in range(config.max_transmissions):
@@ -212,30 +239,35 @@ def run_sim(config: SimConfig) -> SimReport:
             if columns is not None
             else random_column(sender_rng, field, k)
         )
-        coded = None
+        row = col
         if packets is not None:
             coded = kernels.matmul(col[None, :], packets, *field.tables())[0]
+            row = np.concatenate([col, coded])
         sent = u + 1
+        got = []
         for r, st in enumerate(stats):
             if st.decoded:
                 continue
             st.transmissions_observed = sent
-            if receiver_rngs[r].next_u32() < erase_below:
-                continue
-            st.received_count += 1
-            if acc[r].insert(col):
-                if packets is not None:
-                    kept[r].append((col, coded))
-            else:
+            if receiver_rngs[r].next_u32() >= erase_below:
+                st.received_count += 1
+                got.append(r)
+        if not got:
+            continue
+        for r, raised in zip(got, acc.insert(row, got).tolist()):
+            st = stats[r]
+            if not raised:
                 st.dependent_receptions += 1
-            if acc[r].rank == k:
+            elif acc.rank[r] == k:
                 st.decoded = True
                 st.receptions_at_decode = st.received_count
                 if packets is not None:
-                    cols_mat = np.stack([c for c, _ in kept[r]])  # (K, K): row i = col_i
-                    rhs = np.stack([y for _, y in kept[r]])  # (K, L)
-                    recovered = solve_many(MatrixGF(field, cols_mat), rhs)
-                    st.payload_ok = bool(np.array_equal(recovered, packets))
+                    # At rank K the coefficient part of the basis is the
+                    # identity up to row order, so row t must carry packet
+                    # pivots[t].
+                    st.payload_ok = bool(
+                        np.array_equal(acc.basis[r, :, k:], packets[acc.pivots[r]])
+                    )
 
     all_decoded = all(s.decoded for s in stats)
     decoded_tx = [s.transmissions_observed for s in stats if s.decoded]

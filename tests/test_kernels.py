@@ -123,6 +123,32 @@ def test_solve_vectorised_matches_oracle(field):
     assert kernels.solve_in_place(singular, b.copy(), *t) == 1
 
 
+@pytest.mark.parametrize("field", ELIM_FIELDS, ids=repr)
+def test_stacked_pivot_and_span_match_one_matrix_at_a_time(field):
+    """A stack of matrices with one (r, c) each pivots like each matrix on
+    its own, and ``_span`` sums each matrix's rows with its coefficients."""
+    rng = np.random.default_rng(field.q + 3)
+    t = field.tables()
+    stack = _sparse(rng, field.q, (4, 5, 7), zero_frac=0.3)
+    r = np.array([0, 4, 2, 2])
+    c = np.array([3, 0, 6, 6])
+    stack[np.arange(4), r, c] = rng.integers(1, field.q, size=4)  # nonzero pivots
+    stack[3, :, 6] = 0
+    stack[3, 2, 6] = 1  # the pivot is the only nonzero entry of its column
+    one_by_one = stack.copy()
+    for m, ri, ci in zip(one_by_one, r.tolist(), c.tolist()):
+        kernels._pivot(m, ri, ci, *t)
+    kernels._pivot(stack, r, c, *t)
+    assert np.array_equal(stack, one_by_one)
+    assert (stack[np.arange(4), r, c] == 1).all()
+
+    ref = make_ref(field)
+    coef = _sparse(rng, field.q, (4, 5), zero_frac=0.3)
+    span = kernels._span(coef, stack, *t)
+    for i in range(4):
+        assert span[i].tolist() == _ref_matmul(ref, coef[i : i + 1], stack[i])[0].tolist()
+
+
 # GF(65521), the largest prime field: the exact int64 product's worst case is
 # every operand p - 1 over a long inner dimension.
 @pytest.mark.parametrize("shape", [(5, 4099, 3), (3, 4099, 5)], ids=["over-cols", "over-rows"])

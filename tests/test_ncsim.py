@@ -1,12 +1,16 @@
+import hashlib
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
+from pmds import kernels
 from pmds.fields import make_field
 from pmds.matrices import MatrixGF, rank
-from pmds.ncsim import SimConfig, _Accumulator, overhead_bits, random_column, run_sim
+from pmds.ncsim import SCHEMES, SimConfig, _Accumulator, overhead_bits, random_column, run_sim
 from pmds.rng import Xorshift64Star
 from reference_gf import make_ref, ref_rank
 
@@ -46,7 +50,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field", [make_field(2), make_field(3, 2), make_field(257)], ids=repr)
 def test_accumulator_matches_oracle_rank(field):
-    k = 6
+    k, length = 6, 3
     rng = np.random.default_rng(field.q)
     cols = np.where(rng.random((16, k)) < 0.4, 0, rng.integers(1, field.q, size=(16, k)))
     cols[0] = 0  # a zero column before any basis row
@@ -55,16 +59,50 @@ def test_accumulator_matches_oracle_rank(field):
     ref = make_ref(field)
     c = field.q - 1
     cols[9] = [ref.add(ref.mul(c, x), y) for x, y in zip(cols[1], cols[3])]  # c*col1 + col3
-    sent = cols.copy()
-    acc = _Accumulator(field, k)
-    before = 0
-    for i in range(len(cols)):
-        after = ref_rank(ref, cols[: i + 1].tolist())
-        assert acc.insert(cols[i]) == (after > before), i
-        assert acc.rank == after
-        before = after
-    assert before == k  # the basis filled up, so later columns were all dependent
-    assert np.array_equal(cols, sent)  # insert leaves the received columns alone
+    cols[13] = cols[1]  # a duplicate whose payload is wrong, below
+    packets = rng.integers(0, field.q, size=(k, length))
+
+    def coded(coefs):  # the payload of a row with these coefficients
+        out = [0] * length
+        for a, packet in zip(coefs, packets.tolist()):
+            out = [ref.add(y, ref.mul(int(a), x)) for y, x in zip(out, packet)]
+        return out
+
+    rows = np.array([[*col, *coded(col)] for col in cols.tolist()])
+    rows[13, k] = ref.add(int(rows[13, k]), 1)  # dependent coefficients never pivot
+    # Receiver 0 gets every row; receiver 2 only zero columns and cols 1-3;
+    # receiver 3 the duplicates and the combination after their sources.
+    gets = [
+        range(16),
+        range(0, 16, 2),
+        range(5),
+        (1, 2, 3, 6, 9),
+    ]
+    sent = rows.copy()
+    acc = _Accumulator(field, k, len(gets), k + length)
+    received = [[] for _ in gets]
+    for i in range(len(rows)):
+        ids = [r for r, got in enumerate(gets) if i in got]
+        raised = acc.insert(rows[i], ids)
+        assert raised.shape == (len(ids),)
+        for r, up in zip(ids, raised.tolist()):
+            before = ref_rank(ref, received[r]) if received[r] else 0
+            received[r].append(cols[i].tolist())
+            after = ref_rank(ref, received[r])
+            assert up == (after > before), (i, r)
+            assert acc.rank[r] == after
+    ranks = acc.rank.tolist()
+    assert ranks[0] == k and ranks[2] == ranks[3] == 3  # the bases sit at different ranks
+    assert acc.basis.shape == (len(gets), k, k + length)  # rows grow to the highest rank
+    for r, rank in enumerate(ranks):
+        live, dead = acc.basis[r, :rank], acc.basis[r, rank:]
+        assert not dead.any()
+        assert sorted(acc.pivots[r, :rank].tolist()) == sorted(set(acc.pivots[r, :rank].tolist()))
+        for basis_row in live.tolist():
+            # The payload part is the same combination of the packets as
+            # the coefficient part.
+            assert basis_row[k:] == coded(basis_row[:k])
+    assert np.array_equal(rows, sent)  # insert leaves the received rows alone
 
 
 def test_lossless_pascal_decodes_at_exactly_k():
@@ -179,3 +217,83 @@ def test_report_shape():
         "random", 3, 17, 3
     )
     assert len(d["receivers"]) == 2
+
+
+# sha256 over the JSON reports of the grid below, recorded before the rank
+# tracker was batched across receivers; any change to a report shows here.
+GOLDEN_REPORTS_SHA256 = "830d143b58d6c109aeeb631171ad89e6b9624074937a4f89e4118fb95fd2e5a9"
+
+
+def test_golden_report_digest():
+    digest = hashlib.sha256()
+    runs = 0
+    for p, h in ((2, 1), (2, 8), (3, 2), (17, 1), (257, 1)):
+        field = make_field(p, h)
+        for k in (1, 3, 16):
+            if k > field.q:
+                continue
+            for scheme, payload, seed in product(SCHEMES, (False, True), (1, 2, 3)):
+                most = 2 * k + 8
+                if scheme == "pascal":
+                    most = min(most, field.q + 1)
+                cfg = SimConfig(field, k, 4, 0.3, scheme, seed, most, payload=payload)
+                digest.update(run_sim(cfg).to_json().encode())
+                runs += 1
+    assert runs == 144
+    assert digest.hexdigest() == GOLDEN_REPORTS_SHA256
+
+
+@pytest.mark.parametrize("field", [make_field(2, 4), F17], ids=repr)
+def test_corrupt_coded_symbol_fails_the_payload_check(field, monkeypatch):
+    """One wrong symbol in transmission 2's coded payload: every receiver
+    that decoded with it reports payload_ok False, every other one True."""
+    cfg = SimConfig(field, 4, 8, 0.3, "pascal", seed=7, max_transmissions=17, payload=True)
+    assert all(r.payload_ok for r in run_sim(cfg).receivers if r.decoded)
+    bad, calls = 2, []
+    product = kernels.matmul
+
+    def corrupt(a, b, *tables):
+        out = product(a, b, *tables)
+        if len(calls) == bad:
+            out[0, 1] = field.add(int(out[0, 1]), 1)
+        calls.append(a.shape)
+        return out
+
+    monkeypatch.setattr(kernels, "matmul", corrupt)
+    report = run_sim(cfg)
+    assert calls == [(1, 4)] * report.transmissions_sent  # one coded payload per transmission
+    erase_below = int(cfg.erasure_prob * (1 << 32))
+    used = []
+    for r in report.receivers:
+        draws = Xorshift64Star.from_stream(cfg.seed, 1 + r.receiver_id)
+        got = [draws.next_u32() >= erase_below for _ in range(r.transmissions_observed)]
+        assert r.decoded  # every pascal reception raises the rank
+        used.append(len(got) > bad and got[bad])
+        assert r.payload_ok is (not used[-1]), r.receiver_id
+    assert any(used) and not all(used)
+
+
+def test_large_k_simulate_memory_stays_bounded():
+    """A K=2048 random-scheme run of three transmissions keeps bases of at
+    most three rows: its peak RSS stays near the interpreter's own.
+
+    Linux carries a process's peak RSS across exec, so a child forked from
+    this (large) test process would report this process's peak.  A small
+    interpreter in between starts the measured run and reads its peak.
+    """
+    launcher = (
+        "import resource, subprocess, sys\n"
+        "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, "-m", "pmds", "simulate",
+         "--field", "2^16", "--k", "2048", "--receivers", "2", "--loss", "0",
+         "--scheme", "random", "--seed", "1", "--max-tx", "3", "--payload"],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    code, peak_kib = map(int, out.stdout.split())
+    assert code == 0, out.stderr
+    assert peak_kib < 64 * 1024  # ru_maxrss is in KiB on Linux

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pmds import codec, kernels
+from pmds import codec, kernels, ncsim
 from pmds.fields import make_field
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -46,3 +46,22 @@ def test_tracer_binds_every_site_and_counts_the_paper_zeros():
     finally:
         tracer.uninstall()
     assert kernels.matmul is matmul and codec.decode is decode
+
+
+def test_tracer_binds_the_simulator_sites():
+    tracing = _load_tracing()
+    tracer = tracing.install(tracing.Tracer())
+    try:
+        assert len(tracer.sites) == 31
+        assert "pmds.ncsim.solve_many" in tracer.sites
+        assert "pmds.ncsim.kernels" in tracer.sites
+        cfg = ncsim.SimConfig(make_field(2, 4), 4, 3, 0.2, "random", seed=5,
+                              max_transmissions=17, payload=True)
+        report = ncsim.run_sim(cfg)
+        assert all(r.payload_ok for r in report.receivers if r.decoded)
+        # ncsim reaches its vector ops through its `kernels` attribute.
+        assert sum(tracer.calls[f"kernels.{op}"] for op in ("v_add", "v_sub", "v_mul")) > 0
+        assert tracer.calls["ncsim.run_sim"] == 1
+    finally:
+        tracer.uninstall()
+    assert ncsim.kernels is kernels
