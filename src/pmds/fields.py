@@ -157,8 +157,12 @@ class GF:
             (low to high); None when h = 1.
         generator: index of the multiplicative-group generator behind the
             log/antilog tables.
-        exp, log: int64 numpy tables (exp has q-1 entries, log has q;
-            log[0] is unused).
+        log, exp: the one log/antilog pair every product reads.  ``log`` is
+            intp with q entries; ``log[0]`` is the sentinel s = 2(q-1) - 1,
+            past every sum of two logs.  ``exp`` holds narrow symbols (uint8
+            for q <= 256, else uint16) with 2s + 1 entries: ``exp[i]`` is
+            g^(i mod (q-1)) below s and 0 from s on, so ``exp[log[a] +
+            log[b]]`` is a * b for every pair of elements, zeros included.
     """
 
     def __init__(self, p: int, h: int = 1, reduction_poly=None):
@@ -186,7 +190,7 @@ class GF:
         if h > 1 and p == 2:
             self._red_mask = sum(c << i for i, c in enumerate(self.reduction_poly))
         self.generator = self._find_generator()
-        self.exp, self.log = self._build_tables()
+        self.log, self.exp = self._build_tables()
 
     # -- construction helpers ------------------------------------------------
 
@@ -201,15 +205,18 @@ class GF:
         raise AssertionError("unreachable: multiplicative group is cyclic")
 
     def _build_tables(self):
-        n = max(self.q - 1, 1)
-        exp = np.empty(n, dtype=np.int64)
-        log = np.zeros(self.q, dtype=np.int64)
+        qm = self.q - 1
+        sentinel = 2 * qm - 1
+        log = np.empty(self.q, dtype=np.intp)
+        log[0] = sentinel
+        exp = np.zeros(2 * sentinel + 1, dtype=np.uint8 if self.q <= 256 else np.uint16)
         e = 1
-        for i in range(n):
+        for i in range(qm):
             exp[i] = e
             log[e] = i
             e = self.mul_poly(e, self.generator)
-        return exp, log
+        exp[qm:sentinel] = exp[: sentinel - qm]
+        return log, exp
 
     # -- element plumbing ----------------------------------------------------
 
@@ -265,10 +272,7 @@ class GF:
     def mul(self, a: int, b: int) -> int:
         """Product via the log/antilog tables (fast path)."""
         self._check(a), self._check(b)
-        if a == 0 or b == 0:
-            return 0
-        n = self.q - 1
-        return int(self.exp[(int(self.log[a]) + int(self.log[b])) % n])
+        return int(self.exp[self.log[a] + self.log[b]])
 
     def mul_poly(self, a: int, b: int) -> int:
         """Product via polynomial multiplication mod the reduction polynomial
@@ -337,7 +341,7 @@ class GF:
         return result
 
     def tables(self):
-        """(p, h, q, log, exp) bundle consumed by the kernels."""
+        """(p, h, q, log, exp): the field's one table pair, as every kernel reads it."""
         return self.p, self.h, self.q, self.log, self.exp
 
 

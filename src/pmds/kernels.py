@@ -18,8 +18,8 @@ One numpy implementation per operation:
   vectorised 2 x 2 determinant grid.
 
 Kernels take field arithmetic unpacked as ``(p, h, q, log, exp)`` int/array
-arguments (see ``GF.tables``): addition is ``fields.add_sub`` and
-multiplication is one gather on an extended antilog table read at
+arguments, read as ``GF`` builds them (see ``GF.tables``): addition is
+``fields.add_sub`` and multiplication is one gather on the antilog table at
 ``log[a] + log[b]``, where ``log[0]`` is a sentinel that lands on zeros, so
 no product needs a mask for its zero operands.  Matrices passed in are int64
 arrays of element indices.
@@ -40,7 +40,7 @@ used only when they hold at most a quarter as many entries as the nonzero
 products they replace (so the long side has at least 4q entries) and fit
 ``_TABLE_BYTES`` = 4 MiB together, a constant.  Every other product -- the
 simulator's tiny vectors, short decodes, GF(2^16) products at the default
-n -- uses that the slice ``exp_ext[log[c]:]`` is the full row of products by
+n -- uses that the slice ``exp[log[c]:]`` is the full row of products by
 the coefficient c, so one 1-D gather multiplies a whole operand row by c;
 zero coefficients are skipped, so a generator's zeros cost nothing, and
 products are accumulated by XOR (p = 2) or digit-wise (odd p).  The result
@@ -70,9 +70,8 @@ def v_sub(a, b, p, h):
     return add_sub(p, h)[1](np.asarray(a, np.int64), np.asarray(b, np.int64))
 
 
-def v_mul(a, b, q, logt, expt):
-    _, log_ext, exp_ext = _field_tables(logt, expt)
-    return exp_ext[log_ext[a] + log_ext[b]].astype(np.int64)
+def v_mul(a, b, q, log, exp):
+    return exp[log[a] + log[b]].astype(np.int64)
 
 
 # -- elimination and products ---------------------------------------------------
@@ -80,32 +79,8 @@ def v_mul(a, b, q, logt, expt):
 _BLOCK = 16384  # product entries per pass: a block of operand logs stays in cache
 _TABLE_BYTES = 1 << 22  # bytes of all the tables of multiples of one product
 
-_table_cache: dict[int, tuple] = {}
 
-
-def _field_tables(logt, expt):
-    """Tables derived once per field: the log list and (log_ext, exp_ext).
-
-    ``log_ext`` is ``log`` as intp with ``log_ext[0]`` set to a sentinel
-    past every sum of two logs; ``exp_ext[i]`` is ``exp[i mod (q-1)]`` below
-    the sentinel and 0 from it on, in the narrow symbol dtype.  The zero tail
-    runs to twice the sentinel, so ``exp_ext[log_ext[a] + log_ext[b]]`` is
-    the product a * b for every pair of elements, zeros included.
-    """
-    hit = _table_cache.get(id(logt))
-    if hit is None or hit[0] is not logt:
-        qm = logt.size - 1
-        sentinel = 2 * qm - 1
-        log_ext = logt.astype(np.intp)
-        log_ext[0] = sentinel
-        exp_ext = np.zeros(2 * sentinel + 1, dtype=np.uint8 if qm < 256 else np.uint16)
-        exp_ext[:sentinel] = expt[np.arange(sentinel) % qm]
-        hit = (logt, logt.tolist(), log_ext, exp_ext)
-        _table_cache[id(logt)] = hit
-    return hit[1:]
-
-
-def _pivot(m, r, c, p, h, q, logt, expt):
+def _pivot(m, r, c, p, h, q, log, exp):
     """One Gauss-Jordan step, in place: scale row r by the inverse of m[r, c],
     then clear column c from every other row.
 
@@ -113,26 +88,24 @@ def _pivot(m, r, c, p, h, q, logt, expt):
     int arrays r and c of length n, one step per matrix.  Both run the same
     lines: for a stack, ``lead`` indexes the matrices in front of r and c.
     """
-    _, log_ext, exp_ext = _field_tables(logt, expt)
     lead = (np.arange(m.shape[0]),) if m.ndim == 3 else ()
     # The log of the inverse is reduced mod q - 1: in GF(2) the unreduced
     # 1 - 0 would be the sentinel, and the row would scale to zeros.
-    linv = -log_ext[m[(*lead, r, c)]] % (q - 1)
-    row = exp_ext[log_ext[m[(*lead, r)]] + linv[..., None]]
+    linv = -log[m[(*lead, r, c)]] % (q - 1)
+    row = exp[log[m[(*lead, r)]] + linv[..., None]]
     # Row r is cleared with the others, then overwritten with its scaled self.
-    at_c = log_ext[m[(*lead, slice(None), c)]]
-    m[...] = add_sub(p, h)[1](m, exp_ext[at_c[..., None] + log_ext[row][..., None, :]])
+    at_c = log[m[(*lead, slice(None), c)]]
+    m[...] = add_sub(p, h)[1](m, exp[at_c[..., None] + log[row][..., None, :]])
     m[(*lead, r)] = row
 
 
-def _span(coef, basis, p, h, q, logt, expt):
+def _span(coef, basis, p, h, q, log, exp):
     """out[i] = sum over t of coef[i, t] * basis[i, t] for a stack of
     matrices basis (n, rows, cols) and coefficients coef (n, rows): the
     combination of each matrix's rows, summed with ``fields.add_sub`` by
     halving the rows, about log2(rows) passes.
     """
-    _, log_ext, exp_ext = _field_tables(logt, expt)
-    terms = exp_ext[log_ext[coef][:, :, None] + log_ext[basis]]
+    terms = exp[log[coef][:, :, None] + log[basis]]
     if p != 2:  # narrow symbols would wrap in a sum mod p
         terms = terms.astype(np.int64)
     add = add_sub(p, h)[0]
@@ -144,7 +117,7 @@ def _span(coef, basis, p, h, q, logt, expt):
     return terms[:, 0]
 
 
-def _reduce(m, ncols, p, h, q, logt, expt):
+def _reduce(m, ncols, p, h, q, log, exp):
     """Bring m to reduced row-echelon form over its first ncols columns, in
     place, and return the number of pivots.
 
@@ -160,17 +133,17 @@ def _reduce(m, ncols, p, h, q, logt, expt):
         if piv is not None:
             if piv != r:
                 m[[r, piv]] = m[[piv, r]]
-            _pivot(m, r, c, p, h, q, logt, expt)
+            _pivot(m, r, c, p, h, q, log, exp)
             r += 1
     return r
 
 
-def rank_in_place(m, p, h, q, logt, expt):
+def rank_in_place(m, p, h, q, log, exp):
     """Row rank by Gauss-Jordan elimination; m is destroyed."""
-    return _reduce(m, m.shape[1], p, h, q, logt, expt)
+    return _reduce(m, m.shape[1], p, h, q, log, exp)
 
 
-def solve_in_place(a, b, p, h, q, logt, expt):
+def solve_in_place(a, b, p, h, q, log, exp):
     """Solve a x = b for a k x k and b k x w by Gauss-Jordan elimination.
 
     Returns 0 and leaves the solution in b, or returns 1 if a is singular.
@@ -179,39 +152,38 @@ def solve_in_place(a, b, p, h, q, logt, expt):
     """
     k, w = b.shape
     aug = np.concatenate([a, b if w <= k else np.eye(k, dtype=np.int64)], axis=1)
-    if _reduce(aug, k, p, h, q, logt, expt) < k:
+    if _reduce(aug, k, p, h, q, log, exp) < k:
         return 1
-    b[:] = aug[:, k:] if w <= k else _matmul(aug[:, k:], b, p, h, q, logt, expt)
+    b[:] = aug[:, k:] if w <= k else _matmul(aug[:, k:], b, p, h, q, log, exp)
     return 0
 
 
-def _matmul(a, b, p, h, q, logt, expt):
+def _matmul(a, b, p, h, q, log, exp):
     """a @ b by table lookups, one pass per row of the smaller output side.
 
     Over columns the result is the transpose of a C-ordered (cols, rows)
     buffer, so each output column is contiguous.
     """
     if a.shape[0] >= b.shape[1]:
-        return _product_rows(b.T, a.T, p, h, logt, expt).T
-    return _product_rows(a, b, p, h, logt, expt)
+        return _product_rows(b.T, a.T, p, h, log, exp).T
+    return _product_rows(a, b, p, h, log, exp)
 
 
-# The public product.  solve_in_place, codec.decode and the simulator's rank
-# tracker call _matmul, so a wrapper around ``matmul`` (counting encode
-# products, say) sees neither decodes nor rank tracking.
+# The public product.  solve_in_place (with more right-hand sides than
+# unknowns) and codec.decode call _matmul, so a wrapper around ``matmul``
+# (counting encode products, say) sees no decode.
 matmul = _matmul
 
 
-def _product_rows(coef, x, p, h, logt, expt):
+def _product_rows(coef, x, p, h, log, exp):
     """out[i] = sum over t of coef[i, t] * x[t].
 
     Over GF(p) one exact int64 product per block of about ``_BLOCK`` output
     entries.  Otherwise row gathers from tables of multiples where they
     pay (see ``_multiples``), else one gather per nonzero coefficient.
     """
-    lt, log_ext, exp_ext = _field_tables(logt, expt)
     rows, length = coef.shape[0], x.shape[1]
-    out = np.zeros((rows, length), dtype=exp_ext.dtype)
+    out = np.zeros((rows, length), dtype=exp.dtype)
     if h == 1:
         coef = np.asarray(coef, dtype=np.int64)
         step = max(1, _BLOCK // max(rows, 1))
@@ -219,25 +191,28 @@ def _product_rows(coef, x, p, h, logt, expt):
             block = coef @ x[:, s : s + step].astype(np.int64, copy=False)
             out[:, s : s + step] = np.remainder(block, p, out=block)
         return out
-    tables = _multiples(coef, length, log_ext, exp_ext)
+    tables = _multiples(coef, length, log, exp)
     if tables is not None:
         _gather_rows(out, tables, x, p, h)
         return out
-    xlog = log_ext[x]
-    passes = [[(t, lt[c]) for t, c in enumerate(row) if c] for row in coef.tolist()]
+    xlog = log[x]
+    sentinel = int(log[0])
+    passes = [
+        [(t, lc) for t, lc in enumerate(row) if lc != sentinel] for row in log[coef].tolist()
+    ]
     for s in range(0, length, _BLOCK):
         xs = xlog[:, s : s + _BLOCK]
         for acc, terms in zip(out[:, s : s + _BLOCK], passes):
             if p == 2:
                 for t, lc in terms:
-                    acc ^= exp_ext[lc:][xs[t]]
+                    acc ^= exp[lc:][xs[t]]
             else:
                 for t, lc in terms:
-                    acc[:] = v_add(acc, exp_ext[lc:][xs[t]], p, h)
+                    acc[:] = v_add(acc, exp[lc:][xs[t]], p, h)
     return out
 
 
-def _multiples(coef, length, log_ext, exp_ext):
+def _multiples(coef, length, log, exp):
     """The tables of multiples of coef's nonzero columns, as (live, tables),
     or None where they do not pay.
 
@@ -246,23 +221,23 @@ def _multiples(coef, length, log_ext, exp_ext):
     a quarter as many entries as the nonzero products they replace, so the
     long side has at least 4q entries, and when they fit ``_TABLE_BYTES``.
     """
-    q = log_ext.size
+    q = log.size
     if length < 4 * q:  # implied by the entry count below, and cheap to test
         return None
     rows = coef.shape[0]
-    lanes = 8 // exp_ext.itemsize
+    lanes = 8 // exp.itemsize
     width = -(-rows // lanes) * lanes
     live = [t for t in range(coef.shape[1]) if coef[:, t].any()]
     entries = len(live) * q * width
     if (
         not live
         or 4 * entries > np.count_nonzero(coef) * length
-        or entries * exp_ext.itemsize > _TABLE_BYTES
+        or entries * exp.itemsize > _TABLE_BYTES
     ):
         return None
-    tables = np.zeros((len(live), q, width), dtype=exp_ext.dtype)
+    tables = np.zeros((len(live), q, width), dtype=exp.dtype)
     for j, t in enumerate(live):
-        tables[j, :, :rows] = exp_ext[log_ext[:, None] + log_ext[coef[:, t]]]
+        tables[j, :, :rows] = exp[log[:, None] + log[coef[:, t]]]
     return live, tables
 
 
@@ -295,7 +270,7 @@ def _gather_rows(out, multiples, x, p, h):
 # -- the MDS scan ------------------------------------------------------------------
 
 
-def mds_scan(m, p, h, q, logt, expt):
+def mds_scan(m, p, h, q, log, exp):
     """The lexicographically first linearly dependent k-column subset of the
     k x n matrix m, as a list of column indices, or None if there is none.
 
@@ -311,13 +286,12 @@ def mds_scan(m, p, h, q, logt, expt):
     memory is O(k * k * n) entries plus one ``_BLOCK`` of the pair grid.
     """
     k = m.shape[0]
-    lt, log_ext, exp_ext = _field_tables(logt, expt)
     if k == 1:
         zero = np.flatnonzero(m[0] == 0)
         return [int(zero[0])] if zero.size else None
     _, sub = add_sub(p, h)
     qm = q - 1
-    sentinel = int(log_ext[0])
+    sentinel = int(log[0])
     # Nodes with children left to visit: [prefix, R over columns base.., base,
     # offset of the next child].  A node's last child replaces it, so a k = n
     # scan holds one R at a time.
@@ -328,7 +302,7 @@ def mds_scan(m, p, h, q, logt, expt):
         rows, cols = r.shape
         if rows == 2:
             stack.pop()
-            pair = _dependent_pair(r, log_ext, exp_ext)
+            pair = _dependent_pair(r, log, exp)
             if pair is not None:
                 return prefix + [base + pair[0], base + pair[1]]
             continue
@@ -336,27 +310,27 @@ def mds_scan(m, p, h, q, logt, expt):
             stack.pop()
         else:
             node[3] = t + 1
-        col = r[:, t].tolist()
-        piv = next((i for i, x in enumerate(col) if x), None)
+        col = log[r[:, t]].tolist()
+        piv = next((i for i, x in enumerate(col) if x != sentinel), None)
         if piv is None:
             return prefix + list(range(base + t, base + t + rows))
         # Coordinates of columns t+1.. modulo column t: subtract col_i / pivot
         # times the pivot row from every other row, then drop the pivot row.
-        li = qm - lt[col[piv]]
-        coef = [(lt[x] + li) % qm if x else sentinel for x in col]
+        li = qm - col[piv]
+        coef = [(x + li) % qm if x != sentinel else sentinel for x in col]
         del coef[piv]
-        prod = exp_ext[np.array(coef)[:, None] + log_ext[r[piv, t + 1 :]]]
+        prod = exp[np.array(coef)[:, None] + log[r[piv, t + 1 :]]]
         # r is int64, so the narrow products widen in the subtraction.
         rest = sub(r[[i for i in range(rows) if i != piv], t + 1 :], prod)
         stack.append([prefix + [base + t], rest, base + t + 1, 0])
     return None
 
 
-def _dependent_pair(r, log_ext, exp_ext):
+def _dependent_pair(r, log, exp):
     """The first (j, l) with j < l, in row-major order, whose columns of the
     two-row r are dependent, or None.  Works in row blocks of at most
     ``_BLOCK`` grid entries, so memory does not grow with the pair count."""
-    l0, l1 = log_ext[r]
+    l0, l1 = log[r]
     cols = l0.size
     step = max(1, _BLOCK // cols)
     for j0 in range(0, cols - 1, step):
@@ -365,9 +339,7 @@ def _dependent_pair(r, log_ext, exp_ext):
         # The test is symmetric in j and l, and a hit at l < j is preceded in
         # row-major order by its mirror at row l of the same block, so only
         # the always-equal diagonal l = j needs masking.
-        hit = (
-            exp_ext[l0[j0:j1, None] + l1[j0 + 1 :]] == exp_ext[l1[j0:j1, None] + l0[j0 + 1 :]]
-        )
+        hit = exp[l0[j0:j1, None] + l1[j0 + 1 :]] == exp[l1[j0:j1, None] + l0[j0 + 1 :]]
         width = hit.shape[1]
         flat = hit.reshape(-1)
         flat[width :: width + 1] = False

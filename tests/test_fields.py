@@ -136,6 +136,13 @@ def test_pow_conventions(small_field):
         f.pow(1, -1)
 
 
+def test_pow_matches_polynomial_pow(small_field):
+    f = small_field
+    for a in range(f.q):
+        for e in range(2 * f.q + 1):
+            assert f.pow(a, e) == f.pow_poly(a, e)
+
+
 def test_fermat(small_field):
     f = small_field
     for a in range(1, f.q):
