@@ -7,10 +7,10 @@ on stdout; diagnostics go to stderr only.  Exit codes: 0 success, 1 domain
 failure (e.g. a false MDS verdict), 2 usage error.
 
 ``verify-mds`` and ``selftest`` check every k-column subset with one
-single-threaded scan that shares the elimination of each column prefix
-(``kernels.mds_scan``); the verdict names the lexicographically first
-dependent subset and counts the subsets up to it.  PMDS_SUBSET_CAP
-overrides the default MDS enumeration cap.
+single-threaded scan (``kernels.mds_scan``: one quotient per column prefix,
+one determinant grid for the last three columns); the verdict names the
+lexicographically first dependent subset and counts the subsets up to it.
+PMDS_SUBSET_CAP overrides the default MDS enumeration cap.
 """
 
 from __future__ import annotations

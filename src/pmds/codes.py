@@ -1,8 +1,8 @@
 """MDS verification and generator constructions.
 
 ``is_mds`` is the exhaustive checker: it covers every k-column subset in
-lexicographic order (``kernels.mds_scan``, which shares the elimination of
-each column prefix among the subsets through it) and returns the first
+lexicographic order (``kernels.mds_scan``: one quotient per column prefix,
+one determinant grid for the last three columns) and returns the first
 dependent subset as a reproducible witness.  The other constructions are the
 Reed-Solomon generator (power rows over nonzero evaluation points), the
 uniform-matroid representation (a column prefix of the supplemented Pascal

@@ -13,9 +13,9 @@ One numpy implementation per operation:
   multiples for long extension-field products, one gather per coefficient
   otherwise;
 * ``mds_scan`` -- a depth-first walk of the lexicographic combination tree
-  that eliminates each column prefix once, for all the subsets through it,
-  and tests every pair that completes a (k-2)-column prefix with one
-  vectorised 2 x 2 determinant grid.
+  that takes each column prefix's quotient once, by ``_pivot``, and tests all
+  triples completing a (k-3)-column prefix (pairs if k = 2) with one 3 x 3
+  determinant grid from 2 x 2 minors, in blocks of about ``_BLOCK`` entries.
 
 Kernels take field arithmetic unpacked as ``(p, h, q, log, exp)`` int/array
 arguments, read as ``GF`` builds them (see ``GF.tables``): addition is
@@ -50,6 +50,7 @@ holds narrow symbols: ``uint8`` for q <= 256, ``uint16`` above.
 from __future__ import annotations
 
 import operator
+from functools import reduce
 
 import numpy as np
 
@@ -277,21 +278,18 @@ def mds_scan(m, p, h, q, log, exp):
     A depth-first walk of the lexicographic combination tree.  A node is a
     column prefix and holds R: the coordinates of every later column in the
     quotient space modulo the span of the prefix, k - depth rows.  Taking
-    column c is one elimination step on R; an all-zero R[:, c] makes every
-    subset through prefix + c dependent, and the first of those is prefix + c
-    followed by the next consecutive columns.  At depth k - 2, R has two rows
-    and prefix + {j, l} is dependent iff R[0, j] R[1, l] = R[1, j] R[0, l]:
-    one vectorised test over the grid of pairs, whose row-major order is the
-    lexicographic order.  The walk keeps one R per depth at most, so its
-    memory is O(k * k * n) entries plus one ``_BLOCK`` of the pair grid.
+    column c is one ``_pivot`` step on R's columns c.., then its pivot row is
+    dropped; an all-zero R[:, c] makes every subset through prefix + c
+    dependent, and the first of those is prefix + c followed by the next
+    consecutive columns.  A node whose R has three rows (two if k = 2) is
+    settled by ``_dependent_tuple``: one determinant test of each column
+    against each later pair, in blocks of about ``_BLOCK`` entries.  The walk
+    keeps one R per depth at most: O(k * k * n) entries at any width.
     """
     k = m.shape[0]
     if k == 1:
         zero = np.flatnonzero(m[0] == 0)
         return [int(zero[0])] if zero.size else None
-    _, sub = add_sub(p, h)
-    qm = q - 1
-    sentinel = int(log[0])
     # Nodes with children left to visit: [prefix, R over columns base.., base,
     # offset of the next child].  A node's last child replaces it, so a k = n
     # scan holds one R at a time.
@@ -300,52 +298,74 @@ def mds_scan(m, p, h, q, log, exp):
         node = stack[-1]
         prefix, r, base, t = node
         rows, cols = r.shape
-        if rows == 2:
+        if rows <= 3:
             stack.pop()
-            pair = _dependent_pair(r, log, exp)
-            if pair is not None:
-                return prefix + [base + pair[0], base + pair[1]]
+            found = _dependent_tuple(r, p, h, log, exp)
+            if found is not None:
+                return prefix + [base + c for c in found]
             continue
         if t == cols - rows:  # the last child that leaves room for the rest
             stack.pop()
         else:
             node[3] = t + 1
-        col = log[r[:, t]].tolist()
-        piv = next((i for i, x in enumerate(col) if x != sentinel), None)
+        piv = next((i for i, x in enumerate(r[:, t].tolist()) if x), None)
         if piv is None:
             return prefix + list(range(base + t, base + t + rows))
-        # Coordinates of columns t+1.. modulo column t: subtract col_i / pivot
-        # times the pivot row from every other row, then drop the pivot row.
-        li = qm - col[piv]
-        coef = [(x + li) % qm if x != sentinel else sentinel for x in col]
-        del coef[piv]
-        prod = exp[np.array(coef)[:, None] + log[r[piv, t + 1 :]]]
-        # r is int64, so the narrow products widen in the subtraction.
-        rest = sub(r[[i for i in range(rows) if i != piv], t + 1 :], prod)
-        stack.append([prefix + [base + t], rest, base + t + 1, 0])
+        # Coordinates of columns t+1.. modulo column t: pivot on column t with
+        # the pivot row moved last, then drop that row and column t.
+        rest = r[[i for i in range(rows) if i != piv] + [piv], t:]
+        _pivot(rest, rows - 1, 0, p, h, q, log, exp)
+        stack.append([prefix + [base + t], rest[:-1, 1:], base + t + 1, 0])
     return None
 
 
-def _dependent_pair(r, log, exp):
-    """The first (j, l) with j < l, in row-major order, whose columns of the
-    two-row r are dependent, or None.  Works in row blocks of at most
-    ``_BLOCK`` grid entries, so memory does not grow with the pair count."""
-    l0, l1 = log[r]
-    cols = l0.size
-    step = max(1, _BLOCK // cols)
-    for j0 in range(0, cols - 1, step):
-        j1 = min(j0 + step, cols - 1)
-        # Entry (j - j0, l - j0 - 1) compares r0[j] r1[l] with r1[j] r0[l].
-        # The test is symmetric in j and l, and a hit at l < j is preceded in
-        # row-major order by its mirror at row l of the same block, so only
-        # the always-equal diagonal l = j needs masking.
-        hit = exp[l0[j0:j1, None] + l1[j0 + 1 :]] == exp[l1[j0:j1, None] + l0[j0 + 1 :]]
-        width = hit.shape[1]
-        flat = hit.reshape(-1)
-        flat[width :: width + 1] = False
-        at = int(flat.argmax())
-        if flat[at]:
-            j, l = divmod(at, width)
-            return j0 + j, j0 + 1 + l
-    return None
+def _dependent_tuple(r, p, h, log, exp):
+    """The lexicographically first dependent set of as many columns as the
+    two- or three-row r has rows, as a tuple of column indices, or None.
 
+    A set is a column i and a tuple S of later columns (a column, or a pair
+    j < l), with determinant r[0, i] M_0 - r[1, i] M_1 (+ r[2, i] M_2) where
+    M_x is the minor of S over the rows other than x.  Chunks of ``_BLOCK``
+    tuples in lexicographic order get their minors once and meet blocks of
+    i of about ``_BLOCK`` entries in all, whose row-major order is
+    lexicographic; a hit at i leaves later chunks only the i below it.
+    """
+    rows, cols = r.shape
+    lr = log[r]
+    starts = np.arange(cols + 1)  # starts[j]: the tuples whose first column is below j
+    if rows == 3:
+        starts = starts * (2 * cols - 1 - starts) // 2
+    add, sub = add_sub(p, h)
+    best, stop, total = None, cols, int(starts[-1])
+    for s0 in range(int(starts[1]), total, _BLOCK):
+        s = np.arange(s0, min(s0 + _BLOCK, total))
+        if rows == 2:
+            tup, lm = [s], lr[::-1].take(s, 1)
+        else:
+            first = starts.searchsorted(s, "right") - 1
+            tup = [first, s - starts.take(first) + first + 1]
+            e = exp[lr.take(first, 1)[[1, 0, 0, 2, 2, 1]] + lr.take(tup[1], 1)[[2, 2, 1, 1, 0, 0]]]
+            lm = log[sub(*e.astype(np.int64).reshape(2, 3, -1))]  # narrow would wrap mod p
+        i0, i_stop = 0, min(stop, int(tup[0][-1]))
+        while i0 < i_stop:
+            a = max(int(starts[i0 + 1]) - s0, 0)  # the first tuple above i0
+            i1 = min(i0 + max(1, _BLOCK // (s.size - a)), i_stop)
+            terms = exp[lr[:, i0:i1, None] + lm[:, None, a:]]
+            if p == 2:
+                hit = np.bitwise_xor.reduce(terms) == 0
+            elif h == 1:  # t0 + t2 - t1 in (-p, 2p), mod 2^16 > 2p or 2^32: p | d iff d is 0 or p
+                d = terms[::2].sum(0, dtype=np.uint32 if p >> 15 else np.uint16) - terms[1]
+                hit = (d == 0) | (d == p)
+            else:  # uint32 holds digit-wise sums of two symbols below 2^16
+                hit = reduce(add, terms[::2].astype(np.uint32)) == terms[1]
+            edge = max(int(starts[i1]) - s0 - a, 0)  # tuples starting at or below some i
+            hit[:, :edge] &= tup[0][a : a + edge] > np.arange(i0, i1)[:, None]
+            at = int(hit.argmax())
+            if hit.flat[at]:
+                i, b = divmod(at, hit.shape[1])
+                best, stop = (i0 + i, *(int(c[a + b]) for c in tup)), i0 + i
+                break
+            i0 = i1
+        if stop == 0:
+            break
+    return best

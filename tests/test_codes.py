@@ -1,3 +1,5 @@
+import functools
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -27,6 +29,7 @@ F5 = make_field(5)
 def brute_force_verdict(m: MatrixGF) -> MdsVerdict:
     """Independent verifier: oracle arithmetic, itertools enumeration."""
     ref = make_ref(m.field)
+    ref.inv = functools.lru_cache(maxsize=None)(ref.inv)  # exhaustive search, memoized
     k = m.rows
     checked = 0
     for cols in combinations(range(m.cols), k):
@@ -97,11 +100,88 @@ def test_is_mds_matches_brute_force(monkeypatch):
     for f, rows, witness in STRUCTURED:
         m = MatrixGF(f, rows)
         assert brute_force_verdict(m).witness == witness
-    # _BLOCK = 1 and 8 split the pair grid of every case into several blocks.
+    # _BLOCK = 1 and 8 split the tuple grid of every case into several blocks.
     for block in (kernels._BLOCK, 8, 1):
         monkeypatch.setattr(kernels, "_BLOCK", block)
         for m, want in cases:
             assert is_mds(m) == want, (block, m.field.q, m.tolist())
+
+
+def _scan_oracle_cases():
+    """Matrices over GF(2), GF(7), GF(8), GF(9) and GF(257) for k = 1..5.
+
+    Each k <= q gets the first n = min(k + 12, q + 1) columns of H (MDS, a
+    full scan) and, for k >= 3, H with one dependency planted at the first
+    and at the last triple of its first three-row node: a zero column, a
+    duplicate, a scalar multiple, and a sum of two columns (dependent only
+    as a triple).  k <= 2 gets the first three at its first two and last
+    two columns.  Every k also gets a random k x (k + 12) matrix.  At
+    GF(257), k = 5, the unplanted ones are left out: each would take the
+    oracle through all 6,188 subsets.
+    """
+    rng = np.random.RandomState(15)
+    for q in (2, 7, 8, 9, 257):
+        f = field_from_order(q)
+        for k in range(1, 6):
+            unplanted = q < 257 or k < 5
+            if unplanted:
+                yield MatrixGF(f, rng.randint(0, q, size=(k, k + 12)))
+            if k > q:
+                continue
+            n = min(k + 12, q + 1)
+            base = supplemented_pascal(f, k).data[:, :n]
+            if unplanted:
+                yield MatrixGF(f, base)
+            spots = [(k - 3, k - 2, k - 1), (n - 3, n - 2, n - 1)] if k >= 3 else [
+                (0, 0, 1), (n - 2, n - 2, n - 1)]
+            for i, j, l in spots:
+                for plant in ("zero", "duplicate", "multiple", "sum"):
+                    if plant == "sum" and k < 3:
+                        continue
+                    m = base.copy()
+                    m[:, l] = {
+                        "zero": 0,
+                        "duplicate": m[:, i],
+                        "multiple": kernels.v_mul(m[:, j], f.q - 1, *f.tables()[2:]),
+                        "sum": kernels.v_add(m[:, i], m[:, j], f.p, f.h),
+                    }[plant]
+                    yield MatrixGF(f, m)
+
+
+def test_mds_scan_matches_rank_oracle(monkeypatch):
+    """Exhaustive check of the scan against per-subset rank: the same witness
+    and subsets_checked, with the tuple grid and its chunks split at every
+    _BLOCK of 1 and 7 as well as the default."""
+    cases = [(m, brute_force_verdict(m)) for m in _scan_oracle_cases()]
+    assert sum(want.is_mds for _, want in cases) >= 15
+    assert sum(not want.is_mds for _, want in cases) >= 100
+    for block in (kernels._BLOCK, 7, 1):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        for m, want in cases:
+            assert is_mds(m) == want, (block, m.field.q, m.tolist())
+
+
+def test_mds_scan_memory_is_bounded_at_full_width():
+    """k = 3 over GF(2^16) on all 65,537 columns of H with column 5 a copy of
+    column 2: the same witness with a tracemalloc peak under 8 MB, and scans
+    of every width 3..300 retain under 1 MB (no per-width cache survives)."""
+    f = field_from_order(1 << 16)
+    h = supplemented_pascal(f, 3).data.copy()
+    h[:, 5] = h[:, 2]
+    tracemalloc.start()
+    try:
+        assert kernels.mds_scan(h, *f.tables()) == [0, 2, 5]
+        peak = tracemalloc.get_traced_memory()[1]
+        before = tracemalloc.get_traced_memory()[0]
+        for width in range(3, 301):
+            m = h[:, 6 : 6 + width].copy()
+            m[:, 2] = m[:, 1]
+            assert kernels.mds_scan(m, *f.tables()) == [0, 1, 2]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert retained < 1 << 20
 
 
 def test_is_mds_shape_and_cap():
