@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="split a file into share files")
     p.add_argument("--field", required=True)
     p.add_argument("--k", type=int, required=True, help="message symbols per word")
-    p.add_argument("--kind", default="supplemented_pascal", choices=codec.GENERATOR_KINDS)
+    p.add_argument("--kind", default="supplemented_pascal", choices=pascal.KINDS)
     p.add_argument("--n", type=int, default=None, help="coded coordinates (default: full width)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out-dir", required=True)

@@ -165,7 +165,7 @@ class GF:
             log[b]]`` is a * b for every pair of elements, zeros included.
     """
 
-    def __init__(self, p: int, h: int = 1, reduction_poly=None):
+    def __init__(self, p: int, h: int = 1):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if h < 1:
@@ -176,15 +176,7 @@ class GF:
         self.p = p
         self.h = h
         self.q = q
-        if h == 1:
-            self.reduction_poly = None
-        elif reduction_poly is None:
-            self.reduction_poly = find_reduction_poly(p, h)
-        else:
-            rp = tuple(reduction_poly)
-            if len(rp) != h + 1 or rp[-1] != 1 or not is_irreducible(list(rp), p):
-                raise ValueError("reduction polynomial must be monic, degree h, irreducible")
-            self.reduction_poly = rp
+        self.reduction_poly = None if h == 1 else find_reduction_poly(p, h)
         # Bit mask form of the reduction polynomial for the p=2 fast path.
         self._red_mask = None
         if h > 1 and p == 2:
@@ -247,14 +239,11 @@ class GF:
     def __repr__(self):
         return f"GF({self.q})" if self.h == 1 else f"GF({self.q}={self.p}^{self.h})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GF)
-            and (self.p, self.h, self.reduction_poly) == (other.p, other.h, other.reduction_poly)
-        )
+    def __eq__(self, other):  # (p, h) fixes the reduction polynomial
+        return isinstance(other, GF) and (self.p, self.h) == (other.p, other.h)
 
     def __hash__(self):
-        return hash((self.p, self.h, self.reduction_poly))
+        return hash((self.p, self.h))
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -44,10 +44,11 @@ import numpy as np
 
 from . import kernels
 from .fields import GF
-# Not called here: the benchmark's tracer patches this binding by name.
-from .matrices import solve_many  # noqa: F401
-from .pascal import supplemented_pascal
+from .pascal import generator_columns
 from .rng import Xorshift64Star
+# Not called here: the benchmark's tracer patches these bindings by name.
+from .matrices import solve_many  # noqa: F401
+from .pascal import supplemented_pascal  # noqa: F401
 
 SCHEMES = ("pascal", "random")
 
@@ -211,7 +212,10 @@ def run_sim(config: SimConfig) -> SimReport:
     """Run one broadcast block; fully deterministic given the config."""
     field, k = config.field, config.k
     q = field.q
-    columns = supplemented_pascal(field, k).data if config.scheme == "pascal" else None
+    columns = None
+    if config.scheme == "pascal":
+        tx = range(config.max_transmissions)
+        columns = generator_columns(field, k, "supplemented_pascal", tx)
     sender_rng = Xorshift64Star.from_stream(config.seed, 0)
     receiver_rngs = [
         Xorshift64Star.from_stream(config.seed, 1 + r) for r in range(config.receivers)

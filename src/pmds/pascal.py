@@ -10,6 +10,9 @@ diagonal.  Truncating to the first k rows and appending the unit column
 s_k = (0,...,0,1)^T yields a k x (q+1) generator in which any k columns are
 linearly independent.
 
+``generator_columns`` builds just the requested columns of any of the
+``KINDS``: these two and the Reed-Solomon generator with and without s_k.
+
 Over a prime field the same matrix also satisfies the classic additive rule
 entry(m,n) = entry(m-1,n-1) + entry(m,n-1) mod p; ``pascal_additive`` builds
 it that way (no multiplications) and is cross-checked against the polynomial
@@ -37,20 +40,53 @@ def binom(field: GF, m: int, n: int) -> int:
     return val
 
 
-def truncated_pascal(field: GF, k: int) -> MatrixGF:
-    """First k rows of the Pascal matrix, as a k x q generator."""
+KINDS = ("supplemented_pascal", "truncated_pascal", "rs", "supplemented_rs")
+
+
+def width(field: GF, kind: str) -> int:
+    """Column count of the kind's full generator: q+1, q, q-1 and q, in
+    ``KINDS`` order (the RS kinds use the q-1 nonzero evaluation points)."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    return field.q + {"supplemented_pascal": 1, "rs": -1}.get(kind, 0)
+
+
+def generator_columns(field: GF, k: int, kind: str, us) -> np.ndarray:
+    """Columns us, in the given order, of the kind's k-row generator: a
+    k x len(us) int64 array.
+
+    Column u of a Pascal kind is (f_m(sigma(u)))_m and column u of an RS kind
+    is (sigma(u+1)^m)_m, for m < k; a supplemented kind's last column is s_k.
+    One row recurrence builds them, rows[m] = rows[m-1] * factor_m over the
+    requested columns only.
+    """
     q = field.q
     if not 1 <= k <= q:
         raise ValueError(f"k must be in [1, {q}], got {k}")
+    n = width(field, kind)
+    if isinstance(us, range):  # without a per-element conversion
+        us = np.arange(us.start, us.stop, us.step)
+    us = np.asarray(us, np.int64)
+    if np.any((us < 0) | (us >= n)):
+        raise ValueError(f"generator columns must lie in [0, {n}) for kind {kind!r}")
     p, h, _, logt, expt = field.tables()
-    rows = np.empty((k, q), dtype=np.int64)
+    rs = kind.endswith("rs")
+    unit = us == n - 1 if kind.startswith("supplemented") else np.zeros(us.shape, bool)
+    x = np.where(unit, 0, us + 1 if rs else us)  # sigma(u+1) or sigma(u); s_k is set below
+    rows = np.empty((k, us.size), dtype=np.int64)
     rows[0] = 1
-    sig = np.arange(q, dtype=np.int64)
     for m in range(1, k):
-        # f_m(n) = f_{m-1}(n) * (sigma(n) - sigma(m-1)) / sigma(m)
-        factor = v_mul(v_sub(sig, m - 1, p, h), field.inv(m), q, logt, expt)
+        # Pascal: f_m(n) = f_{m-1}(n) * (sigma(n) - sigma(m-1)) / sigma(m)
+        factor = x if rs else v_mul(v_sub(x, m - 1, p, h), field.inv(m), q, logt, expt)
         rows[m] = v_mul(rows[m - 1], factor, q, logt, expt)
-    return MatrixGF(field, rows)
+    rows[:, unit] = 0
+    rows[k - 1, unit] = 1
+    return rows
+
+
+def truncated_pascal(field: GF, k: int) -> MatrixGF:
+    """First k rows of the Pascal matrix, as a k x q generator."""
+    return MatrixGF(field, generator_columns(field, k, "truncated_pascal", range(field.q)))
 
 
 def pascal_matrix(field: GF) -> MatrixGF:
@@ -67,7 +103,7 @@ def supplement(m: MatrixGF) -> MatrixGF:
 
 def supplemented_pascal(field: GF, k: int) -> MatrixGF:
     """Truncated Pascal matrix with the unit column s_k appended: k x (q+1)."""
-    return supplement(truncated_pascal(field, k))
+    return MatrixGF(field, generator_columns(field, k, "supplemented_pascal", range(field.q + 1)))
 
 
 def pascal_additive(p: int, k: int) -> MatrixGF:

@@ -1,3 +1,4 @@
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,3 +15,33 @@ GRID_ORDERS = SMALL_ORDERS  # acceptance grid: q <= 16, k <= min(q, 6)
 @pytest.fixture(params=SMALL_ORDERS, ids=lambda q: f"q{q}")
 def small_field(request):
     return field_from_order(request.param)
+
+
+_LAUNCHER = (
+    "import resource, subprocess, sys\n"
+    "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode\n"
+    "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+
+
+@pytest.fixture
+def pmds_peak_kib():
+    """Runs ``python -m pmds <args>``; returns its exit code, its peak RSS in
+    KiB and its stderr.
+
+    Linux carries a process's peak RSS across exec, so a child forked from
+    this (large) test process would report this process's peak.  A small
+    interpreter in between starts the measured run and reads its peak.
+    """
+
+    def run(*args):
+        out = subprocess.run(
+            [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "pmds", *args],
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        code, peak_kib = map(int, out.stdout.split())
+        return code, peak_kib, out.stderr  # ru_maxrss is in KiB on Linux
+
+    return run

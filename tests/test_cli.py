@@ -3,9 +3,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from pmds import codec
 from pmds.cli import main
+from pmds.fields import make_field
 
 
 def run_cli(argv, stdin_text=None, capsys=None, monkeypatch=None):
@@ -235,6 +238,24 @@ def test_decode_invalid_header_field_domain_failure(tmp_path, capsys):
         )
         assert code == 1, message
         assert message in err
+
+
+def test_decode_of_header_only_frames_stays_bounded(tmp_path, pmds_peak_kib):
+    """256 header-only GF(2^16) frames (25 bytes each, K = 256, u = 0..255,
+    payload length 0) decode from their 256 generator columns, not from the
+    256 x 65,537 full-width generator: the peak RSS stays under 64 MB."""
+    config = codec.CodecConfig(make_field(2, 16), 256)
+    paths = []
+    for u in range(256):
+        paths.append(str(tmp_path / f"share_{u}.bin"))
+        with open(paths[-1], "wb") as f:
+            codec.write_share(f, config, codec.Share(u, np.zeros(0, np.int64)), 0)
+    assert (tmp_path / "share_0.bin").stat().st_size == 25
+    out = tmp_path / "out.bin"
+    code, peak_kib, err = pmds_peak_kib("decode", "--out", str(out), *paths)
+    assert code == 0, err
+    assert out.read_bytes() == b""
+    assert peak_kib < 64 * 1024
 
 
 def test_simulate_json_and_csv(tmp_path, capsys, monkeypatch):

@@ -22,7 +22,6 @@ from pmds.codec import (
     write_share,
 )
 from pmds.fields import make_field
-from pmds.matrices import MatrixGF
 from pmds.pascal import supplemented_pascal
 from reference_gf import make_ref, ref_solve
 
@@ -223,7 +222,7 @@ def test_decode_cache_keeps_no_singular_system(inverses, monkeypatch):
     # A generator whose columns 0 and 1 are equal: that pair cannot decode.
     data = supplemented_pascal(F5, 2).data.copy()
     data[:, 1] = data[:, 0]
-    monkeypatch.setattr(codec, "_full_generator", lambda *_: MatrixGF(F5, data))
+    monkeypatch.setattr(codec, "generator_columns", lambda f, k, kind, us: data[:, list(us)])
     cfg = CodecConfig(F5, 2)
     shares = encode(cfg, [[1, 2]])
     with pytest.raises(DecodeError, match="singular"):

@@ -245,6 +245,19 @@ def test_uniform_matroid_representation():
         uniform_matroid_representation(F5, 4, 3)  # k > n
 
 
+def test_uniform_matroid_representation_builds_only_its_columns():
+    """k = 256, n = 300 over GF(2^16) builds 300 columns, not the 256 x 65,537
+    supplemented matrix (134 MB) that the first 300 columns were cut from."""
+    field = make_field(2, 16)
+    tracemalloc.start()
+    try:
+        m = uniform_matroid_representation(field, 256, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.data.shape == (256, 300) and peak < 8 << 20
+
+
 def test_decompose_supplemented_h52():
     out = decompose_supplemented(supplemented_pascal(F5, 2))
     assert out.tolist() == [[1, 1, 1, 1, 1, 0], [0, 0, 0, 0, 0, 1]]

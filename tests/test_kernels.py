@@ -344,3 +344,19 @@ def test_kernels_keep_no_tables_of_dropped_fields():
     finally:
         tracemalloc.stop()
     assert retained < 1 << 20
+
+
+def test_dropped_codec_configs_keep_no_generators():
+    """A config keeps its generator only as long as it lives: 30 GF(2^12)
+    configs with K = 8..37, each used for one encode and dropped, retain under
+    1 MB, where 30 kept full-width generators would retain about 22 MB."""
+    field = make_field(2, 12)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(8, 38):
+            encode(CodecConfig(field, k), [list(range(k))])
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20

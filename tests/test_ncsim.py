@@ -1,6 +1,4 @@
 import hashlib
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import product
 
@@ -273,27 +271,15 @@ def test_corrupt_coded_symbol_fails_the_payload_check(field, monkeypatch):
     assert any(used) and not all(used)
 
 
-def test_large_k_simulate_memory_stays_bounded():
-    """A K=2048 random-scheme run of three transmissions keeps bases of at
-    most three rows: its peak RSS stays near the interpreter's own.
-
-    Linux carries a process's peak RSS across exec, so a child forked from
-    this (large) test process would report this process's peak.  A small
-    interpreter in between starts the measured run and reads its peak.
-    """
-    launcher = (
-        "import resource, subprocess, sys\n"
-        "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode\n"
-        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_large_k_simulate_memory_stays_bounded(scheme, pmds_peak_kib):
+    """A K=2048 run of three transmissions keeps bases of at most three rows
+    and, for the pascal scheme, builds only the three coefficient columns it
+    sends (not the 2048 x 65,537 generator): its peak RSS stays near the
+    interpreter's own."""
+    code, peak_kib, err = pmds_peak_kib(
+        "simulate", "--field", "2^16", "--k", "2048", "--receivers", "2", "--loss", "0",
+        "--scheme", scheme, "--seed", "1", "--max-tx", "3", "--payload",
     )
-    out = subprocess.run(
-        [sys.executable, "-c", launcher, sys.executable, "-m", "pmds", "simulate",
-         "--field", "2^16", "--k", "2048", "--receivers", "2", "--loss", "0",
-         "--scheme", "random", "--seed", "1", "--max-tx", "3", "--payload"],
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    code, peak_kib = map(int, out.stdout.split())
-    assert code == 0, out.stderr
-    assert peak_kib < 64 * 1024  # ru_maxrss is in KiB on Linux
+    assert code == 0, err
+    assert peak_kib < 64 * 1024

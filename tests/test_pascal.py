@@ -1,18 +1,23 @@
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
+from pmds.cli import SELFTEST_ORDERS
 from pmds.codes import rs_generator
-from pmds.fields import make_field
+from pmds.fields import field_from_order, make_field
 from pmds.matrices import count_zeros
 from pmds.pascal import (
+    KINDS,
     binom,
+    generator_columns,
     pascal_additive,
     pascal_matrix,
     sparsity_report,
     supplemented_pascal,
     truncated_pascal,
+    width,
 )
 from reference_gf import make_ref
 
@@ -87,6 +92,43 @@ def test_matrix_entries_equal_binom(small_field):
     for i in range(f.q):
         for j in range(f.q):
             assert m.data[i, j] == binom(f, i, j)
+
+
+def _oracle_column(field, k, kind, u):
+    """Column u of the kind's k-row generator from scalar arithmetic."""
+    if kind.startswith("supplemented") and u == width(field, kind) - 1:
+        return [0] * (k - 1) + [1]  # s_k
+    if kind.endswith("pascal"):
+        return [binom(field, m, u) for m in range(k)]
+    return [field.pow(u + 1, m) for m in range(k)]
+
+
+@pytest.mark.parametrize("q", SELFTEST_ORDERS + (27, 243, 256, 257))
+def test_generator_columns_match_the_scalar_column_rules(q):
+    field = field_from_order(q)
+    rng = np.random.default_rng(q)
+    ks = range(1, q + 1) if q <= 16 else (1, 2, 7, 27)
+    for kind in KINDS:
+        n = width(field, kind)
+        assert n == {"supplemented_pascal": q + 1, "truncated_pascal": q,
+                     "rs": q - 1, "supplemented_rs": q}[kind]
+        for k in ks:
+            # Unsorted columns that take in the first and the last (s_k for the
+            # supplemented kinds); every column while q is small.
+            picked = range(n) if q <= 16 else [0, n - 1, *rng.choice(n, 10, replace=False)]
+            us = rng.permutation(list(picked)).tolist()
+            got = generator_columns(field, k, kind, us)
+            assert got.shape == (k, len(us)) and got.dtype == np.int64
+            expected = [_oracle_column(field, k, kind, u) for u in us]
+            assert got.T.tolist() == expected, (kind, k)
+        for bad in ([n], [-1], [0, 1, n]):
+            with pytest.raises(ValueError, match="columns must lie in"):
+                generator_columns(field, 1, kind, bad)
+    for k in (0, q + 1):
+        with pytest.raises(ValueError, match="k must be in"):
+            generator_columns(field, k, "truncated_pascal", [0])
+    with pytest.raises(ValueError, match="unknown generator kind"):
+        generator_columns(field, 1, "vandermonde", [0])
 
 
 def test_truncated_pascal():
