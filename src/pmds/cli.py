@@ -98,25 +98,16 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    headers, shares = [], []
+    frames = []
     for path in args.shares:
         with open(path, "rb") as f:
-            header, share = codec.read_share(f)
-        headers.append(header)
-        shares.append(share)
-    first = headers[0]
-    for header, path in zip(headers, args.shares):
-        if (header.p, header.h, header.k, header.kind, header.payload_byte_length) != (
-            first.p,
-            first.h,
-            first.k,
-            first.kind,
-            first.payload_byte_length,
-        ):
+            frames.append(codec.read_share(f))
+    config, _, byte_length = frames[0]
+    for (other, _, length), path in zip(frames, args.shares):
+        if (other, length) != (config, byte_length):
             raise DecodeError(f"share {path} disagrees with the first share's header")
-    config = CodecConfig(field=first.field, k=first.k, kind=first.kind)
-    words = codec.decode(config, shares)
-    data = codec.words_to_bytes(config, words, first.payload_byte_length)
+    words = codec.decode(config, [share for _, share, _ in frames])
+    data = codec.words_to_bytes(config, words, byte_length)
     Path(args.out).write_bytes(data)
     print(json.dumps({"bytes": len(data), "out": args.out}))
     return 0

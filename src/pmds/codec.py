@@ -5,10 +5,13 @@ the code carries, for every word x, the inner product of generator column u
 with x; decoding any K distinct coordinates solves the K x K system (always
 nonsingular for the MDS generator kinds).
 
-Byte framing maps raw bytes to field symbols: bit-packed for q = 2^4 / 2^8 /
-2^16 (nibbles, bytes, big-endian byte pairs) and per-byte base-q digit
-recoding for every other q, with the original byte length carried alongside
-so the round trip is exact.
+Byte framing maps raw bytes to field symbols by one rule: every b bytes,
+read big-endian, become s base-q digits, most significant first.  b is the
+number of whole bytes one symbol holds, at least one (2 at q = 2^16, else
+1), and s is the fewest digits with q^s >= 256^b.  Nibbles at q = 16, bytes
+at q = 256 and byte pairs at q = 2^16 are its instances.  The last group is
+zero-padded and the original byte length travels alongside, so the round
+trip is exact.
 
 Share files are binary frames:
 
@@ -16,7 +19,9 @@ Share files are binary frames:
     u u32 BE | payload_byte_length u64 BE | symbols...
 
 where kind is the generator kind's index in ``pascal.KINDS`` and each
-symbol occupies ceil(log2(q) / 8) bytes, big-endian.
+symbol occupies ceil(log2(q) / 8) bytes, big-endian.  ``read_share``
+returns what ``write_share`` takes, (config, share, byte_length), with the
+symbols narrow as ``encode`` makes them.
 """
 
 from __future__ import annotations
@@ -86,7 +91,7 @@ def _as_words(config: CodecConfig, message) -> np.ndarray:
         return words.reshape(0, config.k)
     if words.ndim != 2 or words.shape[1] != config.k:
         raise ValueError(f"every word must have exactly K = {config.k} symbols")
-    if np.any((words < 0) | (words >= config.field.q)):
+    if words.min() < 0 or words.max() >= config.field.q:
         raise ValueError("message symbols out of range")
     return words
 
@@ -197,73 +202,51 @@ def decode(config: CodecConfig, shares) -> np.ndarray:
 # -- byte <-> symbol framing ------------------------------------------------------
 
 
-def _digits_per_byte(q: int) -> int:
-    s, cap = 1, q
-    while cap < 256:
-        cap *= q
+def _digit_groups(q: int) -> tuple[int, int]:
+    """(b, s): b bytes per group, the most whole bytes one symbol holds but
+    at least one, and s digits per group, the fewest with q^s >= 256^b."""
+    b = max(1, (q.bit_length() - 1) // 8)
+    s = 1
+    while q**s < 256**b:
         s += 1
-    return s
+    return b, s
 
 
 def bytes_to_symbols(field: GF, data: bytes) -> np.ndarray:
-    """Map bytes to field symbols (see module docstring for the layouts)."""
+    """Map bytes to int64 field symbols (see module docstring for the rule)."""
     q = field.q
-    arr = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
-    if q == 16:
-        out = np.empty(2 * arr.size, dtype=np.int64)
-        out[0::2] = arr >> 4
-        out[1::2] = arr & 0xF
-        return out
-    if q == 256:
-        return arr
-    if q == 65536:
-        if len(data) % 2:
-            data = data + b"\x00"
-        return np.frombuffer(data, dtype=">u2").astype(np.int64)
-    s = _digits_per_byte(q)
-    out = np.empty(s * arr.size, dtype=np.int64)
-    for j in range(s):
-        out[j::s] = (arr // q ** (s - 1 - j)) % q
-    return out
+    b, s = _digit_groups(q)
+    groups = np.frombuffer(bytes(data) + bytes(-len(data) % b), dtype=f">u{b}")
+    digits = np.empty((groups.size, s), dtype=np.int64)
+    for j in range(s - 1, 0, -1):
+        groups, digits[:, j] = np.divmod(groups, q)
+    digits[:, 0] = groups
+    return digits.ravel()
 
 
 def symbols_to_bytes(field: GF, symbols, byte_length: int) -> bytes:
-    """Inverse of bytes_to_symbols; byte_length is the original length."""
+    """Inverse of bytes_to_symbols; byte_length is the original length.
+
+    DecodeError for too few symbols, a digit outside [0, q) or a group of
+    digits at or above 256^b, so no symbol sequence turns into wrong bytes.
+    """
     q = field.q
+    b, s = _digit_groups(q)
+    need = -(-byte_length // b) * s
     syms = np.asarray(symbols, dtype=np.int64).ravel()
-    if byte_length == 0:
-        return b""
-    if q == 16:
-        need = 2 * byte_length
-        _require_symbols(syms, need)
-        pairs = syms[:need].reshape(-1, 2)
-        vals = (pairs[:, 0] << 4) | pairs[:, 1]
-    elif q == 256:
-        _require_symbols(syms, byte_length)
-        vals = syms[:byte_length]
-    elif q == 65536:
-        need = (byte_length + 1) // 2
-        _require_symbols(syms, need)
-        raw = syms[:need].astype(">u2").tobytes()
-        return raw[:byte_length]
-    else:
-        s = _digits_per_byte(q)
-        need = s * byte_length
-        _require_symbols(syms, need)
-        digits = syms[:need].reshape(-1, s)
-        vals = np.zeros(byte_length, dtype=np.int64)
-        for j in range(s):
-            vals = vals * q + digits[:, j]
-    if np.any((vals < 0) | (vals > 255)):
-        raise DecodeError("recoded symbol group exceeds a byte: data is corrupt")
-    return vals.astype(np.uint8).tobytes()
-
-
-def _require_symbols(syms: np.ndarray, need: int):
     if syms.size < need:
         raise DecodeError(
             f"length mismatch: need {need} symbols to rebuild the payload, got {syms.size}"
         )
+    digits = syms[:need].reshape(-1, s)
+    if need and (digits.min() < 0 or digits.max() >= q):
+        raise DecodeError(f"payload symbol out of range [0, {q}): data is corrupt")
+    groups = digits[:, 0]
+    for j in range(1, s):
+        groups = groups * q + digits[:, j]
+    if need and q**s > 256**b and groups.max() >= 256**b:
+        raise DecodeError(f"recoded symbol group exceeds {b} byte(s): data is corrupt")
+    return groups.astype(f">u{b}").tobytes()[:byte_length]
 
 
 def bytes_to_words(config: CodecConfig, data: bytes) -> tuple[np.ndarray, int]:
@@ -278,25 +261,10 @@ def bytes_to_words(config: CodecConfig, data: bytes) -> tuple[np.ndarray, int]:
 
 def words_to_bytes(config: CodecConfig, words, byte_length: int) -> bytes:
     """Inverse of bytes_to_words given the recorded byte length."""
-    syms = np.asarray(words, dtype=np.int64).reshape(-1)
-    return symbols_to_bytes(config.field, syms, byte_length)
+    return symbols_to_bytes(config.field, words, byte_length)
 
 
 # -- share frames -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FrameHeader:
-    p: int
-    h: int
-    k: int
-    kind: str
-    u: int
-    payload_byte_length: int
-
-    @property
-    def field(self) -> GF:
-        return make_field(self.p, self.h)
 
 
 def _symbol_width(q: int) -> int:
@@ -321,11 +289,17 @@ def write_share(stream: io.RawIOBase, config: CodecConfig, share: Share, byte_le
         byte_length,
     )
     stream.write(header)
-    dtype = np.uint8 if _symbol_width(q) == 1 else ">u2"
-    stream.write(syms.astype(dtype, copy=False).tobytes())
+    stream.write(syms.astype(f">u{_symbol_width(q)}", copy=False).tobytes())
 
 
-def read_share(stream: io.RawIOBase) -> tuple[FrameHeader, Share]:
+def read_share(stream: io.RawIOBase) -> tuple[CodecConfig, Share, int]:
+    """One frame as the (config, share, byte_length) that write_share takes.
+
+    The config has the header's field, K and kind at the kind's full width,
+    and an invalid one raises DecodeError.  The symbols are narrow, as
+    encode makes them: uint8 for q <= 256 (a read-only view of the frame
+    bytes), else uint16.
+    """
     raw = stream.read(_HEADER.size)
     if len(raw) != _HEADER.size:
         raise DecodeError("share frame truncated before the header ends")
@@ -336,21 +310,13 @@ def read_share(stream: io.RawIOBase) -> tuple[FrameHeader, Share]:
         raise DecodeError(f"unsupported frame version {version}")
     if kind_code >= len(KINDS):
         raise DecodeError(f"unknown generator kind code {kind_code}")
-    header = FrameHeader(
-        p=p, h=h, k=k, kind=KINDS[kind_code], u=u, payload_byte_length=byte_length
-    )
     try:
-        field = header.field
+        config = CodecConfig(make_field(p, h), k, KINDS[kind_code])
     except ValueError as e:
-        raise DecodeError(f"invalid field in share header: {e}") from None
-    if not 1 <= k <= field.q:
-        raise DecodeError(f"invalid K in share header: K must be in [1, {field.q}], got {k}")
-    width = _symbol_width(field.q)
+        raise DecodeError(f"invalid share header: {e}") from None
+    width = _symbol_width(config.field.q)
     body = stream.read()
     if len(body) % width:
         raise DecodeError("share payload is not a whole number of symbols")
-    if width == 1:
-        symbols = np.frombuffer(body, dtype=np.uint8).astype(np.int64)
-    else:
-        symbols = np.frombuffer(body, dtype=">u2").astype(np.int64)
-    return header, Share(u=u, symbols=symbols)
+    symbols = np.frombuffer(body, dtype=f">u{width}").astype(f"u{width}", copy=False)
+    return config, Share(u=u, symbols=symbols), byte_length

@@ -18,9 +18,9 @@ class SingularMatrixError(ValueError):
 
 
 def int_array(data) -> np.ndarray:
-    """A fresh int64 copy of integer data; ValueError for any other dtype,
-    so that 2.9 is never read as the element 2."""
-    arr = np.array(data)
+    """Integer data as int64, not copied if it already is; ValueError for
+    any other dtype, so that 2.9 is never read as the element 2."""
+    arr = np.asarray(data)
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"field elements must be integers, got dtype {arr.dtype}")
     return arr.astype(np.int64, copy=False)
@@ -30,7 +30,7 @@ class MatrixGF:
     __slots__ = ("field", "data")
 
     def __init__(self, field: GF, data):
-        arr = int_array(data)
+        arr = int_array(data).copy()
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"matrix data must be 2-D and non-empty, got shape {arr.shape}")
         if np.any((arr < 0) | (arr >= field.q)):
@@ -76,7 +76,7 @@ def solve_many(a: MatrixGF, b) -> np.ndarray:
     """
     if a.rows != a.cols:
         raise ValueError(f"coefficient matrix must be square, got {a.rows}x{a.cols}")
-    bmat = int_array(b)
+    bmat = int_array(b).copy()  # solved in place
     if bmat.ndim != 2 or bmat.shape[0] != a.rows:
         raise ValueError("right-hand side shape does not match the system")
     if np.any((bmat < 0) | (bmat >= a.field.q)):

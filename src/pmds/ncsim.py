@@ -18,7 +18,7 @@ index u, ceil(log2(n)) bits for n transmissions.
 
 Rank tracking: ``_Accumulator`` keeps the bases of all receivers as one
 int64 stack (receivers, rows, K + L), each in reduced row-echelon form, where
-L is the payload length (0 without payload).  A transmission is reduced for
+L is ``PAYLOAD_LEN`` with payload, else 0.  A transmission is reduced for
 every receiver that got it in one batched step: its entries at each basis's
 pivots are its coordinates, one ``kernels._span`` and one ``v_sub`` remove
 the span, and one stacked ``kernels._pivot`` adds the rank-raising rows.
@@ -51,6 +51,7 @@ from .matrices import solve_many  # noqa: F401
 from .pascal import supplemented_pascal  # noqa: F401
 
 SCHEMES = ("pascal", "random")
+PAYLOAD_LEN = 4  # symbols per packet when payload simulation is on
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,6 @@ class SimConfig:
     seed: int
     max_transmissions: int
     payload: bool = False
-    payload_len: int = 4  # symbols per packet when payload simulation is on
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -85,8 +85,6 @@ class SimConfig:
                 raise ValueError(
                     f"pascal scheme has only q+1 = {self.field.q + 1} coefficient columns"
                 )
-        if self.payload and self.payload_len < 1:
-            raise ValueError("payload_len must be >= 1")
 
 
 @dataclass
@@ -226,12 +224,12 @@ def run_sim(config: SimConfig) -> SimReport:
     if config.payload:
         payload_rng = Xorshift64Star.from_stream(config.seed, config.receivers + 1)
         packets = np.array(
-            [[payload_rng.uniform(q) for _ in range(config.payload_len)] for _ in range(k)],
+            [[payload_rng.uniform(q) for _ in range(PAYLOAD_LEN)] for _ in range(k)],
             dtype=np.int64,
         )
 
     stats = [ReceiverStats(receiver_id=r) for r in range(config.receivers)]
-    width = k + (config.payload_len if packets is not None else 0)
+    width = k + (PAYLOAD_LEN if packets is not None else 0)
     acc = _Accumulator(field, k, config.receivers, width)
 
     sent = 0

@@ -258,6 +258,25 @@ def test_decode_of_header_only_frames_stays_bounded(tmp_path, pmds_peak_kib):
     assert peak_kib < 64 * 1024
 
 
+def test_decode_from_all_shares_stays_narrow(tmp_path, pmds_peak_kib):
+    """All 257 shares of a 1 MiB GF(2^8) file at K = 8 (33 MB on disk)
+    decode under 160 MB peak RSS: read_share keeps the symbols as uint8,
+    not an int64 copy 8x their size."""
+    config = codec.CodecConfig(make_field(2, 8), 8)
+    data = np.random.default_rng(9).integers(0, 256, 1 << 20, dtype=np.uint8).tobytes()
+    words, length = codec.bytes_to_words(config, data)
+    paths = []
+    for share in codec.encode(config, words):
+        paths.append(str(tmp_path / f"share_{share.u}.bin"))
+        with open(paths[-1], "wb") as f:
+            codec.write_share(f, config, share, length)
+    out = tmp_path / "out.bin"
+    code, peak_kib, err = pmds_peak_kib("decode", "--out", str(out), *paths)
+    assert code == 0, err
+    assert out.read_bytes() == data
+    assert peak_kib < 160 * 1024, peak_kib
+
+
 def test_simulate_json_and_csv(tmp_path, capsys, monkeypatch):
     csv_path = tmp_path / "sweep.csv"
     argv = [

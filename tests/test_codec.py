@@ -1,5 +1,6 @@
 import hashlib
 import io
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -85,6 +86,24 @@ def test_encode_rejects_non_integer_symbols():
     msg = np.array([[1, 2, 3]], dtype=np.int32)
     assert decode(cfg, encode(cfg, msg)[:3]).tolist() == [[1, 2, 3]]
     assert decode(cfg, encode(cfg, [[1, 2, 3]])[:3]).tolist() == [[1, 2, 3]]
+
+
+def test_encode_does_not_copy_its_words():
+    """A 131,072 x 8 GF(2^8) encode (a 1 MiB file) reads its int64 words in
+    place: the tracemalloc peak stays within 4 MiB of the coded output,
+    without an 8 MiB copy of the words."""
+    cfg = CodecConfig(F256, 8)
+    words = np.random.default_rng(5).integers(0, 256, (131_072, 8))
+    cfg.generator, cfg.field.tables()  # built before tracing
+    tracemalloc.start()
+    try:
+        shares = encode(cfg, words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = shares[0].symbols.base.nbytes
+    assert output == 131_072 * 257
+    assert peak < output + (4 << 20), (peak, output)
 
 
 def test_decode_rejects_non_integer_symbols():
@@ -336,11 +355,51 @@ def test_byte_roundtrip_all_lengths(spec):
         assert words_to_bytes(cfg, words, record) == data
 
 
+FRAMING_ORDERS = (2, 3, 4, 5, 7, 9, 16, 17, 243, 256, 257, 4096, 3**10, 65521, 1 << 16)
+
+
+def _digit_groups_oracle(q: int, data: bytes) -> list[int]:
+    """Every b bytes, big-endian, as s base-q digits, most significant first;
+    b = 2 at q = 2^16, else 1; s is the fewest digits with q^s >= 256^b."""
+    b = 2 if q == 1 << 16 else 1
+    s = 1
+    while q**s < 256**b:
+        s += 1
+    data += bytes(-len(data) % b)
+    out = []
+    for i in range(0, len(data), b):
+        group = int.from_bytes(data[i : i + b], "big")
+        out.extend(group // q ** (s - 1 - j) % q for j in range(s))
+    return out
+
+
+@pytest.mark.parametrize("q", FRAMING_ORDERS, ids=lambda q: f"q{q}")
+def test_bytes_to_symbols_matches_the_digit_group_oracle(q):
+    from pmds.fields import field_from_order
+
+    field = field_from_order(q)
+    for length in list(range(13)) + [255, 256, 257]:
+        data = bytes((255 - 37 * i) % 256 for i in range(length))  # every byte at 256
+        syms = bytes_to_symbols(field, data)
+        assert syms.tolist() == _digit_groups_oracle(q, data), length
+        assert symbols_to_bytes(field, syms, length) == data
+
+
 def test_symbols_to_bytes_length_mismatch():
     with pytest.raises(DecodeError):
         symbols_to_bytes(F5, [1, 2], 1)  # needs 4 digits
     with pytest.raises(DecodeError):
         symbols_to_bytes(F5, [4, 4, 4, 4], 1)  # 4444_5 = 624 > 255
+    # A digit outside [0, q) is corrupt, whatever the value of its group.
+    f65536 = make_field(2, 16)
+    for field, syms, length in (
+        (f65536, [-1], 2),
+        (f65536, [65536 + 0x4142], 2),
+        (F16, [0, 17], 1),
+        (F5, [0, 0, 0, 5], 1),
+    ):
+        with pytest.raises(DecodeError):
+            symbols_to_bytes(field, syms, length)
 
 
 def test_full_pipeline_bytes():
@@ -365,12 +424,12 @@ def test_share_file_roundtrip():
         buf = io.BytesIO()
         write_share(buf, cfg, s, record)
         blobs.append(buf.getvalue())
-    headers, parsed = zip(*(read_share(io.BytesIO(b)) for b in blobs))
-    h = headers[0]
-    assert (h.p, h.h, h.k, h.kind, h.payload_byte_length) == (2, 8, 4, "supplemented_rs", 100)
+    configs, parsed, lengths = zip(*(read_share(io.BytesIO(b)) for b in blobs))
+    assert set(configs) == {cfg} and set(lengths) == {100}
     assert [s.u for s in parsed] == [0, 1, 2, 3, 4, 5]
+    assert all(s.symbols.dtype == np.uint8 for s in parsed)
     got = decode(cfg, list(parsed[2:6]))
-    assert words_to_bytes(cfg, got, h.payload_byte_length) == data
+    assert words_to_bytes(cfg, got, lengths[0]) == data
 
 
 def test_share_file_two_byte_symbols():
@@ -380,8 +439,10 @@ def test_share_file_two_byte_symbols():
     shares = encode(cfg, words)
     buf = io.BytesIO()
     write_share(buf, cfg, shares[1], record)
-    header, share = read_share(io.BytesIO(buf.getvalue()))
+    config, share, length = read_share(io.BytesIO(buf.getvalue()))
+    assert (config, length) == (cfg, 5)
     assert share.u == 1
+    assert share.symbols.dtype == np.uint16
     assert np.array_equal(share.symbols, shares[1].symbols)
 
 
