@@ -240,6 +240,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:  # a backstop: sizes the commands do not check up front
+        print(f"error: out of memory{f': {e}' if str(e) else ''}", file=sys.stderr)
+        return 2
 
 
 def run():

@@ -274,9 +274,11 @@ def _symbol_width(q: int) -> int:
 def write_share(stream: io.RawIOBase, config: CodecConfig, share: Share, byte_length: int):
     q = config.field.q
     syms = np.asarray(share.symbols)
-    # An unsigned dtype whose largest value is below q holds only symbols.
-    narrow = syms.dtype.kind == "u" and np.iinfo(syms.dtype).max < q
-    if syms.size and not narrow and (syms.min() < 0 or syms.max() >= q):
+    # An unsigned dtype whose largest value is below q holds only symbols,
+    # and unsigned symbols need no lower bound.
+    unsigned = syms.dtype.kind == "u"
+    narrow = unsigned and 256**syms.dtype.itemsize <= q
+    if syms.size and not narrow and ((not unsigned and syms.min() < 0) or syms.max() >= q):
         raise ValueError(f"share symbols out of range [0, {q})")
     header = _HEADER.pack(
         MAGIC,

@@ -8,7 +8,9 @@ One numpy implementation per operation:
   the product kernel.  ``_pivot`` also takes a stack of matrices with one
   (row, column) per matrix, and ``_span`` sums the rows of each matrix of a
   stack with its own coefficients: together they are the simulator's rank
-  tracker step for all receivers at once;
+  tracker step for all receivers at once.  ``_reduce_stack`` is the same
+  elimination on a stack, with one vectorised pivot search per column: the
+  simulator's reduction of every receiver's first K receptions;
 * ``matmul`` -- a table-driven product kernel: row gathers from tables of
   multiples for long extension-field products, one gather per coefficient
   otherwise;
@@ -136,6 +138,42 @@ def _reduce(m, ncols, p, h, q, log, exp):
                 m[[r, piv]] = m[[piv, r]]
             _pivot(m, r, c, p, h, q, log, exp)
             r += 1
+    return r
+
+
+def _reduce_stack(m, ncols, p, h, q, log, exp):
+    """``_reduce`` for each matrix of a stack m (n, rows, cols), in place;
+    returns the number of pivots of each, an intp array of length n.
+
+    Each column is one vectorised pivot search over the stack (the same
+    rule as ``_reduce``, against each matrix's own next pivot row) and one
+    stacked ``_pivot`` of the matrices that have a pivot there.  A stack of
+    one costs about three times ``_reduce``, so single matrices keep it.
+    """
+    n, rows = m.shape[:2]
+    r = np.zeros(n, dtype=np.intp)
+    below = np.arange(rows)
+    for c in range(ncols):
+        if (r == rows).all():
+            break
+        nz = (m[:, :, c] != 0) & (below >= r[:, None])
+        piv = nz.argmax(axis=1)
+        has = nz[np.arange(n), piv]
+        if has.all():
+            ids, sub = slice(None), m
+        elif has.any():
+            ids = np.flatnonzero(has)
+            sub = m[ids]
+        else:
+            continue
+        at, piv = r[ids], piv[ids]
+        if (piv != at).any():
+            lead = np.arange(sub.shape[0])
+            sub[lead, at], sub[lead, piv] = sub[lead, piv], sub[lead, at]
+        _pivot(sub, at, c, p, h, q, log, exp)
+        if sub is not m:
+            m[ids] = sub
+        r[ids] += 1
     return r
 
 

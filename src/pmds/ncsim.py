@@ -16,23 +16,38 @@ Per-packet coefficient overhead: the random scheme must ship all K
 coefficients, ceil(K*log2(q)) bits; the pascal scheme ships only the column
 index u, ceil(log2(n)) bits for n transmissions.
 
-Rank tracking: ``_Accumulator`` keeps the bases of all receivers as one
-int64 stack (receivers, rows, K + L), each in reduced row-echelon form, where
-L is ``PAYLOAD_LEN`` with payload, else 0.  A transmission is reduced for
-every receiver that got it in one batched step: its entries at each basis's
-pivots are its coordinates, one ``kernels._span`` and one ``v_sub`` remove
-the span, and one stacked ``kernels._pivot`` adds the rank-raising rows.
-The coded payload rides in the same rows, so at rank K the coefficient part
-is the identity up to row order and row t must hold packet pivots[t]: that
-is the payload check, with no second elimination.  The stack grows by one
-row each time a receiver reaches a rank no receiver had reached, so its
-memory follows the highest rank, never K rows up front.
+Rank tracking, in two phases.  Phase 1 reduces each receiver's first
+K receptions at once: the rows (a coefficient column, then its coded
+payload, K + L entries where L is ``PAYLOAD_LEN`` with payload, else 0) of
+every transmission up to the latest K-th reception are built together, the
+payloads by one (sent x K)(K x L) product, and each receiver's received rows,
+padded with zero rows, form one int64 stack (receivers, min(K,
+max_transmissions), K + L) that ``kernels._reduce_stack`` brings to reduced
+row-echelon form, one stacked ``kernels._pivot`` per column.  A receiver at
+rank K decodes at its K-th reception, and every reception that did not
+raise the rank is a dependent one.  The coded payload rides in the same
+rows, so at rank K the coefficient part is the identity and row t must hold
+packet t: that is the payload check, with no second elimination.  Phase 2
+takes the receivers with K receptions short of rank K: ``_Accumulator``
+keeps their reduced bases as one stack, and each later transmission is
+reduced for every receiver that got it in one batched step (its entries at
+each basis's pivots are its coordinates, one ``kernels._span`` and one
+``v_sub`` remove the span, and one stacked ``kernels._pivot`` adds the
+rank-raising rows), until they decode or the transmissions run out.  The
+phase-1 stack is the largest allocation; ``run_sim`` refuses a config whose
+stack would exceed ``BASIS_BUDGET_BYTES`` with ``ValueError`` before any draw.
 
 Determinism: all randomness flows from the xorshift64* streams of ``rng``
 (stream 0 = sender coefficients, stream 1+r = receiver r erasures, stream
 receivers+1 = payload symbols).  A transmission is erased for a receiver
-when the stream's next 32-bit draw is < floor(loss * 2^32).  Reports with
-equal configs are byte-identical.
+when the stream's next 32-bit draw is < floor(loss * 2^32).  A receiver
+draws once per transmission while it is undecoded, and it cannot decode
+before its K-th reception, so phase 1 draws each receiver's stream up to its
+K-th reception (or max_transmissions) and phase 2 goes on from there: the
+draws, and so the reports, are those of one transmission-by-transmission
+loop.  The sender's stream does not depend on the receivers; it draws the
+columns of transmissions 0..sent-1 in order, phase 1's together and phase
+2's one at a time.  Reports with equal configs are byte-identical.
 """
 
 from __future__ import annotations
@@ -52,6 +67,9 @@ from .pascal import supplemented_pascal  # noqa: F401
 
 SCHEMES = ("pascal", "random")
 PAYLOAD_LEN = 4  # symbols per packet when payload simulation is on
+# The largest stack of bases a run may hold: receivers x min(K, max
+# transmissions) x (K + payload) int64 entries, checked before any draw.
+BASIS_BUDGET_BYTES = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -165,15 +183,15 @@ class _Accumulator:
     A row is a coefficient column (K entries) followed by its coded payload,
     if any, ``width`` entries in all; pivots lie in the coefficient part.
     ``basis[i, t]`` is row t of receiver i, ``pivots[i, t]`` its pivot column
-    and ``rank[i]`` the number of live rows; the rows past the rank are zero.
-    The stack holds as many rows as the highest rank reached so far.
+    and ``rank[i]`` the number of live rows; the rows past the rank are zero,
+    with pivot column 0.  Each basis has K rows.
     """
 
     def __init__(self, field: GF, k: int, receivers: int, width: int):
         self.field = field
         self.k = k
-        self.basis = np.zeros((receivers, 0, width), dtype=np.int64)
-        self.pivots = np.zeros((receivers, 0), dtype=np.intp)
+        self.basis = np.zeros((receivers, k, width), dtype=np.int64)
+        self.pivots = np.zeros((receivers, k), dtype=np.intp)
         self.rank = np.zeros(receivers, dtype=np.intp)
 
     def insert(self, row: np.ndarray, receivers) -> np.ndarray:
@@ -181,22 +199,15 @@ class _Accumulator:
         True if the row raised its rank."""
         tables = self.field.tables()
         ids = np.asarray(receivers, dtype=np.intp)
-        if self.basis.shape[1]:
-            # Each basis is reduced, so the row's entries at its pivots are
-            # the row's coordinates along its rows.
-            span = kernels._span(row[self.pivots[ids]], self.basis[ids], *tables)
-            v = kernels.v_sub(row, span, self.field.p, self.field.h)
-        else:
-            v = np.repeat(row[None, :], ids.size, axis=0)
+        # Each basis is reduced, so the row's entries at its pivots are the
+        # row's coordinates along its rows (zero rows add nothing).
+        span = kernels._span(row[self.pivots[ids]], self.basis[ids], *tables)
+        v = kernels.v_sub(row, span, self.field.p, self.field.h)
         coef = v[:, : self.k] != 0
         raised = coef.any(axis=1)
         if raised.any():
             ids, v, cols = ids[raised], v[raised], coef[raised].argmax(axis=1)
             at = self.rank[ids]
-            if at.max() == self.basis.shape[1]:  # a rank no receiver had reached
-                n, _, width = self.basis.shape
-                self.basis = np.concatenate([self.basis, np.zeros((n, 1, width), np.int64)], 1)
-                self.pivots = np.concatenate([self.pivots, np.zeros((n, 1), np.intp)], 1)
             m = self.basis[ids]
             m[np.arange(ids.size), at] = v
             kernels._pivot(m, at, cols, *tables)
@@ -209,15 +220,18 @@ class _Accumulator:
 def run_sim(config: SimConfig) -> SimReport:
     """Run one broadcast block; fully deterministic given the config."""
     field, k = config.field, config.k
-    q = field.q
-    columns = None
-    if config.scheme == "pascal":
-        tx = range(config.max_transmissions)
-        columns = generator_columns(field, k, "supplemented_pascal", tx)
+    q, tables = field.q, field.tables()
+    most = config.max_transmissions
+    width = k + (PAYLOAD_LEN if config.payload else 0)
+    depth = min(k, most)  # the most receptions a receiver reduces in phase 1
+    need = config.receivers * depth * width * 8
+    if need > BASIS_BUDGET_BYTES:
+        raise ValueError(
+            f"simulation needs {need} bytes of bases (receivers x min(K, max "
+            f"transmissions) x (K + payload) x 8), above the budget of "
+            f"{BASIS_BUDGET_BYTES}"
+        )
     sender_rng = Xorshift64Star.from_stream(config.seed, 0)
-    receiver_rngs = [
-        Xorshift64Star.from_stream(config.seed, 1 + r) for r in range(config.receivers)
-    ]
     erase_below = int(config.erasure_prob * (1 << 32))
 
     packets = None
@@ -228,48 +242,86 @@ def run_sim(config: SimConfig) -> SimReport:
             dtype=np.int64,
         )
 
-    stats = [ReceiverStats(receiver_id=r) for r in range(config.receivers)]
-    width = k + (PAYLOAD_LEN if packets is not None else 0)
-    acc = _Accumulator(field, k, config.receivers, width)
+    def coded_rows(start, stop):
+        """The rows of transmissions start..stop-1: coefficient columns, then
+        their coded payload, all coded with one product."""
+        if config.scheme == "pascal":
+            cols = generator_columns(field, k, "supplemented_pascal", range(start, stop)).T
+        else:
+            cols = np.array([random_column(sender_rng, field, k) for _ in range(start, stop)])
+        if packets is None:
+            return cols
+        return np.concatenate([cols, kernels.matmul(cols, packets, *tables)], axis=1)
 
-    sent = 0
-    for u in range(config.max_transmissions):
-        if all(s.decoded for s in stats):
-            break
-        col = (
-            columns[:, u].copy()
-            if columns is not None
-            else random_column(sender_rng, field, k)
-        )
-        row = col
-        if packets is not None:
-            coded = kernels.matmul(col[None, :], packets, *field.tables())[0]
-            row = np.concatenate([col, coded])
-        sent = u + 1
-        got = []
-        for r, st in enumerate(stats):
-            if st.decoded:
+    # Phase 1: each receiver's erasures up to its K-th reception.
+    stats = [ReceiverStats(receiver_id=r) for r in range(config.receivers)]
+    receptions, streams = [], []
+    for st in stats:
+        rng = Xorshift64Star.from_stream(config.seed, 1 + st.receiver_id)
+        got, u = [], 0
+        while len(got) < k and u < most:
+            if rng.next_u32() >= erase_below:
+                got.append(u)
+            u += 1
+        st.transmissions_observed, st.received_count = u, len(got)
+        receptions.append(got)
+        streams.append(rng)
+    full = all(len(got) == k for got in receptions)
+    sent = max(got[-1] for got in receptions) + 1 if full else most
+    rows = coded_rows(0, sent)
+    # Receiver i's received rows, padded with a zero row to depth rows.
+    pad = np.concatenate([rows, np.zeros((1, width), np.int64)])
+    stack = pad[[got + [sent] * (depth - len(got)) for got in receptions]]
+    rank = kernels._reduce_stack(stack, k, *tables)
+    ok = None if packets is None or depth < k else (stack[:, :, k:] == packets).all(axis=(1, 2))
+    rest = []  # receivers with K receptions short of rank K
+    for i, (st, got) in enumerate(zip(stats, receptions)):
+        st.dependent_receptions = len(got) - int(rank[i])
+        if rank[i] == k:
+            # A reduced basis of rank K over K columns is the identity with
+            # the coded packets in order: row t must carry packet t.
+            st.decoded, st.receptions_at_decode = True, k
+            if ok is not None:
+                st.payload_ok = bool(ok[i])
+        elif len(got) == k:
+            rest.append(i)
+
+    # Phase 2: receivers short of rank K go on one transmission at a time.
+    if rest:
+        acc = _Accumulator(field, k, len(rest), width)
+        acc.basis, acc.rank = stack[rest], rank[rest]
+        acc.basis[np.arange(k) >= acc.rank[:, None]] = 0  # dependent rows drop out
+        acc.pivots = (acc.basis[:, :, :k] != 0).argmax(axis=2)
+        pending = {r: a for a, r in enumerate(rest)}  # receiver -> its basis in acc
+        u = min(receptions[r][-1] for r in rest) + 1
+        while pending and u < most:
+            row = rows[u] if u < sent else coded_rows(u, u + 1)[0]
+            got = []
+            for r in pending:
+                if u > receptions[r][-1]:  # phase 1 drew up to its K-th reception
+                    stats[r].transmissions_observed = u + 1
+                    if streams[r].next_u32() >= erase_below:
+                        stats[r].received_count += 1
+                        got.append(r)
+            u += 1
+            if not got:
                 continue
-            st.transmissions_observed = sent
-            if receiver_rngs[r].next_u32() >= erase_below:
-                st.received_count += 1
-                got.append(r)
-        if not got:
-            continue
-        for r, raised in zip(got, acc.insert(row, got).tolist()):
-            st = stats[r]
-            if not raised:
-                st.dependent_receptions += 1
-            elif acc.rank[r] == k:
-                st.decoded = True
-                st.receptions_at_decode = st.received_count
-                if packets is not None:
-                    # At rank K the coefficient part of the basis is the
-                    # identity up to row order, so row t must carry packet
-                    # pivots[t].
-                    st.payload_ok = bool(
-                        np.array_equal(acc.basis[r, :, k:], packets[acc.pivots[r]])
-                    )
+            for r, raised in zip(got, acc.insert(row, [pending[r] for r in got]).tolist()):
+                st, a = stats[r], pending[r]
+                if not raised:
+                    st.dependent_receptions += 1
+                elif acc.rank[a] == k:
+                    st.decoded = True
+                    st.receptions_at_decode = st.received_count
+                    del pending[r]
+                    if packets is not None:
+                        # At rank K the coefficient part of the basis is the
+                        # identity up to row order, so row t must carry
+                        # packet pivots[t].
+                        st.payload_ok = bool(
+                            np.array_equal(acc.basis[a, :, k:], packets[acc.pivots[a]])
+                        )
+        sent = max(sent, u)
 
     all_decoded = all(s.decoded for s in stats)
     decoded_tx = [s.transmissions_observed for s in stats if s.decoded]

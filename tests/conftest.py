@@ -19,7 +19,11 @@ def small_field(request):
 
 _LAUNCHER = (
     "import resource, subprocess, sys\n"
-    "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode\n"
+    "limit = int(sys.argv[1])\n"
+    "def cap():\n"
+    "    if limit:\n"
+    "        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+    "code = subprocess.run(sys.argv[2:], stdout=subprocess.DEVNULL, preexec_fn=cap).returncode\n"
     "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
 )
 
@@ -32,11 +36,14 @@ def pmds_peak_kib():
     Linux carries a process's peak RSS across exec, so a child forked from
     this (large) test process would report this process's peak.  A small
     interpreter in between starts the measured run and reads its peak.
+    With ``address_space`` (bytes), the run's own ``RLIMIT_AS`` is set to it
+    before exec, so an allocation beyond it fails in that process only.
     """
 
-    def run(*args):
+    def run(*args, address_space=0):
         out = subprocess.run(
-            [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "pmds", *args],
+            [sys.executable, "-c", _LAUNCHER, str(address_space), sys.executable, "-m", "pmds",
+             *args],
             capture_output=True,
             text=True,
         )

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -323,6 +324,35 @@ def test_simulate_usage_error(capsys, monkeypatch):
     )
     assert code == 2
     assert "erasure probability" in err
+
+
+@pytest.mark.parametrize(
+    "size",
+    [
+        ["--field", "2^8", "--k", "4", "--receivers", "200000000"],  # one stream per receiver
+        ["--field", "2", "--k", "300000000", "--receivers", "1"],  # one draw per entry
+    ],
+    ids=["receivers", "k"],
+)
+def test_simulate_beyond_the_basis_budget_exits_2_at_once(size, capsys):
+    """Refused before any draw: in well under a second, with one error line."""
+    argv = ["simulate", *size, "--loss", "0", "--scheme", "random", "--seed", "1", "--max-tx", "1"]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: simulation needs") and "budget" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_out_of_memory_is_a_one_line_usage_error(pmds_peak_kib):
+    """A 4096 x 65,536 generator (2 GiB of int64) under a 1.5 GB address-space
+    limit on the child: exit 2 and one error line, not a traceback."""
+    code, _, err = pmds_peak_kib(
+        "gen-matrix", "--field", "2^16", "--k", "4096", address_space=1_500_000 * 1024
+    )
+    assert code == 2, err
+    assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
 
 
 def test_gen_matrix_usage_errors(capsys, monkeypatch):

@@ -150,6 +150,28 @@ def test_stacked_pivot_and_span_match_one_matrix_at_a_time(field):
         assert span[i].tolist() == _ref_matmul(ref, coef[i : i + 1], stack[i])[0].tolist()
 
 
+@pytest.mark.parametrize("field", ELIM_FIELDS, ids=repr)
+def test_stacked_reduce_matches_one_matrix_at_a_time(field):
+    """``_reduce_stack`` gives each matrix of a stack the rank and the reduced
+    form that ``_reduce`` gives it alone: full rank, swaps, a column without
+    a pivot, dependent and zero rows, and an all-zero matrix."""
+    rng = np.random.default_rng(field.q + 4)
+    t = field.tables()
+    stack = _sparse(rng, field.q, (6, 5, 9), zero_frac=0.3)
+    stack[1, 0, 0], stack[1, 3, 0] = 0, 1  # a swap in one matrix only
+    stack[2, :, 1] = 0  # no pivot in column 1
+    stack[3, 4] = stack[3, 1]  # a dependent row
+    stack[4, 2:] = 0  # zero rows
+    stack[5] = 0
+    one_by_one = stack.copy()
+    ranks = [kernels._reduce(m, 6, *t) for m in one_by_one]
+    ref = make_ref(field)
+    assert ranks == [ref_rank(ref, m[:, :6].tolist()) for m in stack]
+    assert len(set(ranks)) > 2  # the matrices reach different ranks
+    assert kernels._reduce_stack(stack, 6, *t).tolist() == ranks
+    assert np.array_equal(stack, one_by_one)
+
+
 # GF(65521), the largest prime field: the exact int64 product's worst case is
 # every operand p - 1 over a long inner dimension.
 @pytest.mark.parametrize("shape", [(5, 4099, 3), (3, 4099, 5)], ids=["over-cols", "over-rows"])

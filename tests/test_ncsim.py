@@ -241,6 +241,33 @@ def test_golden_report_digest():
     assert digest.hexdigest() == GOLDEN_REPORTS_SHA256
 
 
+# sha256 over the JSON reports of the grid below, recorded before the
+# simulator reduced each receiver's first K receptions in one stacked step.
+GOLDEN_SHORT_REPORTS_SHA256 = "1b041d7144621a3cf9f70003a4a97d0d7c6942822c223c9bc9473517b6c2b688"
+
+
+def test_golden_digest_of_receivers_that_fall_short():
+    """Small fields and heavy loss: receivers with dependent receptions, that
+    decode only after more than K receptions, or that never decode."""
+    digest = hashlib.sha256()
+    runs = dependent = never = late = 0
+    for (p, h), k, loss, seed, payload, short in product(
+        ((2, 1), (3, 1), (2, 2)), (4, 16), (0.5, 0.9), (1, 2, 3), (False, True), (True, False)
+    ):
+        most = k + 2 if short else 3 * k
+        cfg = SimConfig(make_field(p, h), k, 6, loss, "random", seed, most, payload=payload)
+        report = run_sim(cfg)
+        digest.update(report.to_json().encode())
+        runs += 1
+        for r in report.receivers:
+            dependent += r.dependent_receptions > 0
+            never += not r.decoded
+            late += r.decoded and r.receptions_at_decode > k
+    assert runs == 144
+    assert (dependent, never, late) == (120, 646, 92)  # the grid reaches every case
+    assert digest.hexdigest() == GOLDEN_SHORT_REPORTS_SHA256
+
+
 @pytest.mark.parametrize("field", [make_field(2, 4), F17], ids=repr)
 def test_corrupt_coded_symbol_fails_the_payload_check(field, monkeypatch):
     """One wrong symbol in transmission 2's coded payload: every receiver
@@ -252,14 +279,14 @@ def test_corrupt_coded_symbol_fails_the_payload_check(field, monkeypatch):
 
     def corrupt(a, b, *tables):
         out = product(a, b, *tables)
-        if len(calls) == bad:
-            out[0, 1] = field.add(int(out[0, 1]), 1)
+        if not calls:
+            out[bad, 1] = field.add(int(out[bad, 1]), 1)
         calls.append(a.shape)
         return out
 
     monkeypatch.setattr(kernels, "matmul", corrupt)
     report = run_sim(cfg)
-    assert calls == [(1, 4)] * report.transmissions_sent  # one coded payload per transmission
+    assert calls == [(report.transmissions_sent, 4)]  # one product codes every payload
     erase_below = int(cfg.erasure_prob * (1 << 32))
     used = []
     for r in report.receivers:
