@@ -7,8 +7,9 @@ on stdout; diagnostics go to stderr only.  Exit codes: 0 success, 1 domain
 failure (e.g. a false MDS verdict), 2 usage error.
 
 ``verify-mds`` and ``selftest`` check every k-column subset with one
-single-threaded scan (``kernels.mds_scan``: one quotient per column prefix,
-one determinant grid for the last three columns); the verdict names the
+single-threaded scan (``kernels.mds_scan``: the column-prefix quotients
+by levels, stacked, and one determinant grid for each stack of 3-row
+quotients that share a last column); the verdict names the
 lexicographically first dependent subset and counts the subsets up to it.
 PMDS_SUBSET_CAP overrides the default MDS enumeration cap.
 """

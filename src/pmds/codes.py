@@ -1,13 +1,13 @@
 """MDS verification and generator constructions.
 
 ``is_mds`` is the exhaustive checker: it covers every k-column subset in
-lexicographic order (``kernels.mds_scan``: one quotient per column prefix,
-one determinant grid for the last three columns) and returns the first
-dependent subset as a reproducible witness.  The other constructions are the
-Reed-Solomon generator (power rows over nonzero evaluation points), the
-uniform-matroid representation (a column prefix of the supplemented Pascal
-matrix), and the cancellation step that exposes the supplemented matrix's
-block structure.  The unit-column ``supplement`` is ``pascal.supplement``,
+lexicographic order (``kernels.mds_scan``: the column-prefix quotients by
+levels, stacked, and one determinant grid for each stack of 3-row quotients
+that share a last column) and returns the first dependent subset as a
+reproducible witness.  The other constructions are the Reed-Solomon
+generator (power rows over nonzero evaluation points), the uniform-matroid
+representation (a column prefix of the supplemented Pascal matrix), and the
+cancellation step that exposes the supplemented matrix's block structure.  The unit-column ``supplement`` is ``pascal.supplement``,
 re-exported here.
 """
 

@@ -31,6 +31,16 @@ import numpy as np
 FIELD_ORDER_CAP = 1 << 16
 
 
+def _check_cap(p: int, h: int) -> None:
+    """Refuse GF(p^h) above ``FIELD_ORDER_CAP`` before any work that grows
+    with p or h (primality, p**h, factoring): p and h are bounded first,
+    since p >= 2 makes any h above log2(cap) too large, then p**h.  The
+    message names the spec, never a large p**h."""
+    if p > FIELD_ORDER_CAP or h >= FIELD_ORDER_CAP.bit_length() or p**h > FIELD_ORDER_CAP:
+        spec = str(p) if h == 1 else f"{p}^{h}"
+        raise ValueError(f"field {spec} exceeds cap {FIELD_ORDER_CAP}")
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -166,13 +176,12 @@ class GF:
     """
 
     def __init__(self, p: int, h: int = 1):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         if h < 1:
             raise ValueError(f"extension degree must be >= 1, got {h}")
+        _check_cap(p, h)
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         q = p**h
-        if q > FIELD_ORDER_CAP:
-            raise ValueError(f"field order {q} exceeds cap {FIELD_ORDER_CAP}")
         self.p = p
         self.h = h
         self.q = q
@@ -356,6 +365,7 @@ def field_from_order(q: int) -> GF:
     """The field of a given prime-power order (p and h recovered from q)."""
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
+    _check_cap(q, 1)
     for p in range(2, isqrt(q) + 1):
         if q % p == 0:
             h = 0

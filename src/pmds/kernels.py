@@ -14,10 +14,12 @@ One numpy implementation per operation:
 * ``matmul`` -- a table-driven product kernel: row gathers from tables of
   multiples for long extension-field products, one gather per coefficient
   otherwise;
-* ``mds_scan`` -- a depth-first walk of the lexicographic combination tree
-  that takes each column prefix's quotient once, by ``_pivot``, and tests all
-  triples completing a (k-3)-column prefix (pairs if k = 2) with one 3 x 3
-  determinant grid from 2 x 2 minors, in blocks of about ``_BLOCK`` entries.
+* ``mds_scan`` -- the lexicographic combination tree settled by levels:
+  each level's column-prefix quotients come from one stacked ``_pivot`` per
+  piece of about ``_CHUNK`` * ``_BLOCK`` entries, and every stack of 3-row
+  quotients that share a last column is tested against all triples after
+  it (pairs if k = 2) with one 3 x 3 determinant grid from 2 x 2 minors, in
+  blocks of about ``_BLOCK`` entries.
 
 Kernels take field arithmetic unpacked as ``(p, h, q, log, exp)`` int/array
 arguments, read as ``GF`` builds them (see ``GF.tables``): addition is
@@ -308,87 +310,203 @@ def _gather_rows(out, multiples, x, p, h):
 
 # -- the MDS scan ------------------------------------------------------------------
 
+_CHUNK = 4  # quotient entries per stacked piece of a scan level, in units of _BLOCK
+
 
 def mds_scan(m, p, h, q, log, exp):
     """The lexicographically first linearly dependent k-column subset of the
     k x n matrix m, as a list of column indices, or None if there is none.
 
-    A depth-first walk of the lexicographic combination tree.  A node is a
-    column prefix and holds R: the coordinates of every later column in the
-    quotient space modulo the span of the prefix, k - depth rows.  Taking
-    column c is one ``_pivot`` step on R's columns c.., then its pivot row is
-    dropped; an all-zero R[:, c] makes every subset through prefix + c
-    dependent, and the first of those is prefix + c followed by the next
-    consecutive columns.  A node whose R has three rows (two if k = 2) is
-    settled by ``_dependent_tuple``: one determinant test of each column
-    against each later pair, in blocks of about ``_BLOCK`` entries.  The walk
-    keeps one R per depth at most: O(k * k * n) entries at any width.
+    The combination tree is settled by levels.  A node is a column prefix
+    and holds its quotient: the coordinates of the columns modulo the span
+    of the prefix, k - depth rows.  A level is a stack of quotients in
+    lexicographic prefix order, in global column numbering: column j of a
+    stack is column lo + j of m, one lo per stack.  The children of a level
+    (prefix + b for every b after the prefix's last column) are taken in
+    lexicographic pieces of about ``_CHUNK`` * ``_BLOCK`` entries, one
+    stacked quotient each, with one pivot column per matrix; each piece is
+    settled before the next, so one piece per depth is held at a time.  A
+    zero pivot column makes every subset through prefix + b dependent, the
+    first of them prefix + b followed by the next consecutive columns.
+    Quotients of four rows are settled by ``_groups``, three-row stacks of
+    them at a time.  Each candidate found bounds the rest: a piece or group
+    is cut to the prefixes that come before it, so those after it are
+    skipped.
     """
     k = m.shape[0]
     if k == 1:
         zero = np.flatnonzero(m[0] == 0)
         return [int(zero[0])] if zero.size else None
-    # Nodes with children left to visit: [prefix, R over columns base.., base,
-    # offset of the next child].  A node's last child replaces it, so a k = n
-    # scan holds one R at a time.
-    stack = [[[], np.asarray(m, dtype=np.int64), 0, 0]]
-    while stack:
-        node = stack[-1]
-        prefix, r, base, t = node
-        rows, cols = r.shape
-        if rows <= 3:
-            stack.pop()
-            found = _dependent_tuple(r, p, h, log, exp)
-            if found is not None:
-                return prefix + [base + c for c in found]
+    field = (p, h, q, log, exp)
+    root = np.asarray(m, dtype=np.int64)[None]
+    pre = np.zeros((1, 0), dtype=np.intp)
+    if k <= 3:
+        found = _dependent_tuple(root, p, h, log, exp)
+        return None if found is None else list(found[1:])
+    best = _groups(root, 0, pre, None, field) if k == 4 else _levels(root, pre, field)
+    return None if best is None else list(best)
+
+
+def _levels(root, pre, field):
+    """``mds_scan`` above four rows: the pieces of each level by depth, one
+    level per depth held at a time, the four-row quotients to ``_groups``."""
+    best, levels = None, [[root, 0, *_children(root, 0, pre), 0]]
+    while levels:
+        level = levels[-1]
+        stack, lo, par, at, start = level
+        rows, width = stack.shape[1:]
+        step = max(1, _CHUNK * _BLOCK // (rows * width))
+        piece = at[start : start + step]
+        if best is not None:
+            piece = piece[: _before(piece, best[: piece.shape[1]])]
+        level[4] = start + step
+        if len(piece) < step or level[4] >= len(at):  # no piece after this one is left
+            levels.pop()
+        if not len(piece):
             continue
-        if t == cols - rows:  # the last child that leaves room for the rest
-            stack.pop()
-        else:
-            node[3] = t + 1
-        piv = next((i for i, x in enumerate(r[:, t].tolist()) if x), None)
-        if piv is None:
-            return prefix + list(range(base + t, base + t + rows))
-        # Coordinates of columns t+1.. modulo column t: pivot on column t with
-        # the pivot row moved last, then drop that row and column t.
-        rest = r[[i for i in range(rows) if i != piv] + [piv], t:]
-        _pivot(rest, rows - 1, 0, p, h, q, log, exp)
-        stack.append([prefix + [base + t], rest[:-1, 1:], base + t + 1, 0])
-    return None
+        col = piece[:, -1]
+        w0 = int(col.min())  # the piece's quotients keep the columns from w0 on
+        has, quot = _quotients(stack, par[start : start + len(piece)], col - lo, w0 - lo, field)
+        z = len(piece) if has.all() else int(has.argmin())
+        if z < len(piece):
+            best = (*piece[z].tolist(), *range(col[z] + 1, col[z] + rows))
+        if z and rows == 5:
+            best = _groups(quot[:z], w0, piece[:z], best, field)
+        elif z:
+            levels.append([quot[:z], w0, *_children(quot[:z], w0, piece[:z]), 0])
+    return best
+
+
+def _children(stack, lo, pre):
+    """The children of the prefixes pre (s, depth), sorted, of a stack over
+    the columns from lo on: prefix + b for every b after the prefix's last
+    column that leaves room for the rest, in lexicographic order, as
+    (parent index, child prefix) arrays."""
+    rows, n = stack.shape[1], lo + stack.shape[2]
+    last = pre[:, -1] if pre.shape[1] else np.full(len(pre), -1)
+    counts = np.maximum(n - rows - last, 0)  # b = last + 1 .. n - rows
+    par = np.repeat(np.arange(last.size), counts)
+    col = np.arange(par.size) + np.repeat(last + 1 - (np.cumsum(counts) - counts), counts)
+    return par, np.column_stack([pre[par], col])
+
+
+def _groups(stack, lo, pre, best, field):
+    """The lexicographically first dependent subset through the children of
+    a stack of four-row quotients over the columns from lo on, with
+    prefixes pre (s, depth), sorted, if one comes before the tuple best;
+    else best.
+
+    The children are grouped by their last column b: the quotients whose
+    last column is below b, pivoted on column b over the columns from b on,
+    form one three-row stack for ``_dependent_tuple``, in prefix order.
+    Groups are taken by increasing b, each cut to the prefixes that come
+    before best.
+    """
+    n, depth = lo + stack.shape[2], pre.shape[1]
+    last = pre[:, -1] if depth else np.full(len(pre), -1)
+    b, limit = int(last.min()) + 1, 0
+    while b < n - 3:
+        if best is not None and (*pre[0].tolist(), b) >= best[: depth + 1]:
+            break  # every later group's prefixes come after pre[0] + b
+        # One stacked quotient per batch of groups of about _BLOCK / 4
+        # entries, but for the first group alone: an early hit there costs
+        # no more than it.
+        sizes = np.sort(last).searchsorted(np.arange(b, n - 3))
+        b1 = b + max(1, int(np.cumsum(sizes * (4 * (n - b))).searchsorted(limit, "right")))
+        limit = _BLOCK // 4
+        groups = [np.flatnonzero(last < x) for x in range(b, b1)]
+        cols = np.repeat(np.arange(b, b1), sizes[: b1 - b])
+        has, quot = _quotients(stack, np.concatenate(groups), cols - lo, b - lo, field)
+        end = 0
+        for x, ids in zip(range(b, b1), groups):
+            start, end = end, end + ids.size
+            if best is not None:
+                at = np.column_stack([pre[ids], np.full(ids.size, x)])
+                ids = ids[: _before(at, best[: depth + 1])]
+            g = has[start : start + ids.size]
+            z = ids.size if g.all() else int(g.argmin())
+            if z < ids.size:
+                best = (*pre[ids[z]].tolist(), x, x + 1, x + 2, x + 3)
+            found = None
+            if z:
+                found = _dependent_tuple(quot[start : start + z, :, x + 1 - b :], *field[:2], *field[3:])
+            if found is not None:
+                best = (*pre[ids[found[0]]].tolist(), x, *(x + 1 + c for c in found[1:]))
+        b = b1
+    return best
+
+
+def _before(pre, bound):
+    """The number of rows of the lexicographically sorted array pre that
+    come before the tuple bound (of one entry per column)."""
+    differ = pre != bound
+    first = differ.argmax(1)
+    lead = np.arange(len(pre))
+    return int(np.count_nonzero(differ[lead, first] & (pre[lead, first] < np.take(bound, first))))
+
+
+def _quotients(stack, ids, c, lo, field):
+    """Quotients of the matrices stack[ids] modulo their columns c (one per
+    matrix), over the columns from lo on.
+
+    Returns has, whether each matrix's column c is nonzero, and the
+    quotients (len(ids), rows - 1, cols - lo): the last nonzero row of each
+    column c is swapped last (most often it is last already), one stacked
+    ``_pivot`` clears column c with it, and it is dropped.  A matrix whose
+    column c is zero gets no quotient of use.
+    """
+    rows = stack.shape[1]
+    nz = stack[ids, :, c] != 0
+    piv = rows - 1 - nz[:, ::-1].argmax(1)
+    g = stack[ids, :, lo:]
+    if (piv != rows - 1).any():
+        lead = np.arange(len(ids))
+        g[lead, piv], g[:, -1] = g[:, -1], g[lead, piv]
+    _pivot(g, rows - 1, c - lo, *field)
+    return nz.any(1), g[:, :-1]
 
 
 def _dependent_tuple(r, p, h, log, exp):
     """The lexicographically first dependent set of as many columns as the
-    two- or three-row r has rows, as a tuple of column indices, or None.
+    matrices of the stack r (s, rows, cols) have rows (two or three), as a
+    tuple (matrix, column, ...) with matrices first in the order, or None.
 
     A set is a column i and a tuple S of later columns (a column, or a pair
     j < l), with determinant r[0, i] M_0 - r[1, i] M_1 (+ r[2, i] M_2) where
-    M_x is the minor of S over the rows other than x.  Chunks of ``_BLOCK``
-    tuples in lexicographic order get their minors once and meet blocks of
-    i of about ``_BLOCK`` entries in all, whose row-major order is
-    lexicographic; a hit at i leaves later chunks only the i below it.
+    M_x is the minor of S over the rows other than x.  Chunks of tuples in
+    lexicographic order, about ``_BLOCK`` of them over all matrices, get
+    their minors once.  They meet blocks of (matrix, i) of about ``_BLOCK``
+    entries in all -- whole matrices, or a run of i in one -- whose
+    row-major order is lexicographic; a hit at (matrix, i) leaves later
+    chunks only the (matrix, i) before it.
     """
-    rows, cols = r.shape
-    lr = log[r]
+    s, rows, cols = r.shape
+    lr = log[r].transpose(1, 0, 2)
     starts = np.arange(cols + 1)  # starts[j]: the tuples whose first column is below j
     if rows == 3:
         starts = starts * (2 * cols - 1 - starts) // 2
     add, sub = add_sub(p, h)
-    best, stop, total = None, cols, int(starts[-1])
-    for s0 in range(int(starts[1]), total, _BLOCK):
-        s = np.arange(s0, min(s0 + _BLOCK, total))
+    best, stop, total = None, (s, 0), int(starts[-1])
+    for s0 in range(int(starts[1]), total, max(1, _BLOCK // s)):
+        t = np.arange(s0, min(s0 + max(1, _BLOCK // s), total))
+        live = lr[:, : stop[0] + 1]
         if rows == 2:
-            tup, lm = [s], lr[::-1].take(s, 1)
+            tup, lm = [t], live[::-1].take(t, 2)
         else:
-            first = starts.searchsorted(s, "right") - 1
-            tup = [first, s - starts.take(first) + first + 1]
-            e = exp[lr.take(first, 1)[[1, 0, 0, 2, 2, 1]] + lr.take(tup[1], 1)[[2, 2, 1, 1, 0, 0]]]
-            lm = log[sub(*e.astype(np.int64).reshape(2, 3, -1))]  # narrow would wrap mod p
-        i0, i_stop = 0, min(stop, int(tup[0][-1]))
-        while i0 < i_stop:
+            first = starts.searchsorted(t, "right") - 1
+            tup = [first, t - starts.take(first) + first + 1]
+            e = exp[live.take(first, 2)[[1, 0, 0, 2, 2, 1]] + live.take(tup[1], 2)[[2, 2, 1, 1, 0, 0]]]
+            lm = log[sub(*e.astype(np.int64).reshape(2, 3, *e.shape[1:]))]  # narrow would wrap mod p
+        i_hi = int(tup[0][-1])  # no tuple of the chunk lies above an i from i_hi on
+        mat, i0 = 0, 0
+        while (mat, i0) < stop:
             a = max(int(starts[i0 + 1]) - s0, 0)  # the first tuple above i0
-            i1 = min(i0 + max(1, _BLOCK // (s.size - a)), i_stop)
-            terms = exp[lr[:, i0:i1, None] + lm[:, None, a:]]
+            per = max(1, _BLOCK // (t.size - a))
+            if i0 == 0 and per >= i_hi:
+                m1, i1 = min(mat + per // i_hi, lm.shape[1]), i_hi
+            else:
+                m1, i1 = mat + 1, min(i0 + per, i_hi)
+            terms = exp[lr[:, mat:m1, i0:i1, None] + lm[:, mat:m1, None, a:]]
             if p == 2:
                 hit = np.bitwise_xor.reduce(terms) == 0
             elif h == 1:  # t0 + t2 - t1 in (-p, 2p), mod 2^16 > 2p or 2^32: p | d iff d is 0 or p
@@ -397,13 +515,15 @@ def _dependent_tuple(r, p, h, log, exp):
             else:  # uint32 holds digit-wise sums of two symbols below 2^16
                 hit = reduce(add, terms[::2].astype(np.uint32)) == terms[1]
             edge = max(int(starts[i1]) - s0 - a, 0)  # tuples starting at or below some i
-            hit[:, :edge] &= tup[0][a : a + edge] > np.arange(i0, i1)[:, None]
+            hit[..., :edge] &= tup[0][a : a + edge] > np.arange(i0, i1)[:, None]
             at = int(hit.argmax())
             if hit.flat[at]:
-                i, b = divmod(at, hit.shape[1])
-                best, stop = (i0 + i, *(int(c[a + b]) for c in tup)), i0 + i
+                j, i, b = (int(x) for x in np.unravel_index(at, hit.shape))
+                if (mat + j, i0 + i) < stop:
+                    stop = (mat + j, i0 + i)
+                    best = (*stop, *(int(c[a + b]) for c in tup))
                 break
-            i0 = i1
-        if stop == 0:
+            mat, i0 = (m1, 0) if i1 == i_hi else (mat, i1)
+        if stop == (0, 0):
             break
     return best

@@ -46,9 +46,6 @@ class MatrixGF:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.data[:, j].copy()
-
     def __eq__(self, other):
         return (
             isinstance(other, MatrixGF)

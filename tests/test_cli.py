@@ -490,3 +490,24 @@ def test_shell_pipe_composition():
     )
     assert verify.returncode == 0, verify.stderr
     assert json.loads(verify.stdout)["is_mds"] is True
+
+
+@pytest.mark.parametrize(
+    "argv,stdin_text",
+    [
+        (["gen-matrix", "--field", "1000000000000000000000007", "--k", "1"], None),
+        (["gen-matrix", "--field", "3^4000000000", "--k", "1"], None),
+        (["gen-matrix", "--field", "2^1000000000", "--k", "1"], None),
+        (["verify-mds", "--in", "-"], "1000000000000000000000007 1 1\n1\n"),
+    ],
+)
+def test_fields_over_the_cap_exit_2_at_once(argv, stdin_text, capsys, monkeypatch):
+    """Field specs and matrix headers far above the cap exit 2 within a
+    second with one error line naming the cap, before any primality test,
+    power or factoring."""
+    t0 = time.perf_counter()
+    code, out, err = run_cli(argv, stdin_text, capsys=capsys, monkeypatch=monkeypatch)
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "exceeds cap 65536" in err

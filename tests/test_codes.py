@@ -8,6 +8,7 @@ import pytest
 
 from pmds import kernels
 from pmds.codes import (
+    DEFAULT_SUBSET_CAP,
     MdsVerdict,
     SubsetCapExceeded,
     decompose_supplemented,
@@ -108,21 +109,24 @@ def test_is_mds_matches_brute_force(monkeypatch):
 
 
 def _scan_oracle_cases():
-    """Matrices over GF(2), GF(7), GF(8), GF(9) and GF(257) for k = 1..5.
+    """Matrices over GF(2), GF(7), GF(8), GF(9) and GF(257) for k = 1..5,
+    and over GF(7), GF(8) and GF(9) for k = 6 and 7.
 
     Each k <= q gets the first n = min(k + 12, q + 1) columns of H (MDS, a
     full scan) and, for k >= 3, H with one dependency planted at the first
     and at the last triple of its first three-row node: a zero column, a
     duplicate, a scalar multiple, and a sum of two columns (dependent only
     as a triple).  k <= 2 gets the first three at its first two and last
-    two columns.  Every k also gets a random k x (k + 12) matrix.  At
-    GF(257), k = 5, the unplanted ones are left out: each would take the
-    oracle through all 6,188 subsets.
+    two columns.  k >= 6 also gets the plants of ``_level_plants``.  Every
+    k also gets a random k x (k + 12) matrix, and GF(257) one random MDS
+    5 x 9 matrix with two circuits planted.  At GF(257), k = 5, the
+    unplanted ones are left out: each would take the oracle through all
+    6,188 subsets.
     """
     rng = np.random.RandomState(15)
     for q in (2, 7, 8, 9, 257):
         f = field_from_order(q)
-        for k in range(1, 6):
+        for k in range(1, 8 if q in (7, 8, 9) else 6):
             unplanted = q < 257 or k < 5
             if unplanted:
                 yield MatrixGF(f, rng.randint(0, q, size=(k, k + 12)))
@@ -146,6 +150,50 @@ def _scan_oracle_cases():
                         "sum": kernels.v_add(m[:, i], m[:, j], f.p, f.h),
                     }[plant]
                     yield MatrixGF(f, m)
+            if k >= 6:
+                yield from _level_plants(f, base)
+    # Circuits through (1, 3, 5, 6, 7) and (2, 4, 5, 6, 8) in a random MDS
+    # 5 x 9 matrix over GF(257): the witness lies in the three-row group of
+    # prefix (1, 3); the next group, of last column 4, starts before it at
+    # (0, 4) but hits only at (2, 4), after it.
+    m = np.random.RandomState(3).randint(1, 257, size=(5, 9))
+    f = field_from_order(257)
+    for circuit in ((1, 3, 5, 6, 7), (2, 4, 5, 6, 8)):
+        m[:, circuit[-1]] = functools.reduce(
+            lambda a, b: kernels.v_add(a, b, f.p, f.h), (m[:, c] for c in circuit[:-1]))
+    yield MatrixGF(f, m)
+
+
+def _level_plants(f, base):
+    """Plants in the MDS matrix base (k x n, k >= 6) that the scan by levels
+    meets out of lexicographic order.
+
+    In the first k + 2 columns, circuits through C1 = (1, 2, ..., k) and
+    C2 = (0, ..., k - 5, k - 2, ..., k + 1): each one's last column becomes
+    a combination of the others (weights 1 for C1, 2, 3, ... for C2).  C1's
+    three-row group (last prefix column k - 3) is taken before C2's (k - 2),
+    so C1's hit comes first and C2's is the witness.  Zero pivot columns at
+    the first stacked level (a zero column 0, whose candidate is the
+    witness, or 3, whose is not) and at the second (a multiple of column 0
+    in column 1 or 4).
+    """
+    k, n = base.shape
+    tables = f.tables()[2:]
+
+    def combination(m, cols, weights):
+        terms = (kernels.v_mul(m[:, c], w, *tables) for c, w in zip(cols, weights))
+        return functools.reduce(lambda a, b: kernels.v_add(a, b, f.p, f.h), terms)
+
+    m = base[:, : k + 2].copy()
+    m[:, k] = combination(m, range(1, k), [1] * (k - 1))
+    if k + 2 <= n:
+        c2 = (*range(k - 4), *range(k - 2, k + 1))
+        m[:, k + 1] = combination(m, c2, [2 + i % (f.q - 2) for i in range(k - 1)])
+    yield MatrixGF(f, m)
+    for col, source in ((0, None), (3, None), (1, 0), (4, 0)):
+        m = base.copy()
+        m[:, col] = 0 if source is None else kernels.v_mul(m[:, source], 2, *tables)
+        yield MatrixGF(f, m)
 
 
 def test_mds_scan_matches_rank_oracle(monkeypatch):
@@ -182,6 +230,24 @@ def test_mds_scan_memory_is_bounded_at_full_width():
         tracemalloc.stop()
     assert peak < 8 << 20
     assert retained < 1 << 20
+
+
+@pytest.mark.parametrize("q,k,n", [(256, 4, 100), (257, 5, 60)])
+def test_mds_scan_memory_is_bounded_with_an_early_exit(q, k, n):
+    """A wide H under the default cap with column 5 a copy of column 2: the
+    oracle's witness, found early, with a tracemalloc peak under 8 MB."""
+    f = field_from_order(q)
+    h = supplemented_pascal(f, k).data[:, :n].copy()
+    h[:, 5] = h[:, 2]
+    assert comb(n, k) <= DEFAULT_SUBSET_CAP
+    want = brute_force_verdict(MatrixGF(f, h)).witness
+    tracemalloc.start()
+    try:
+        assert kernels.mds_scan(h, *f.tables()) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_is_mds_shape_and_cap():

@@ -1,4 +1,5 @@
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -51,6 +52,29 @@ def test_make_field_rejects_bad_degree_and_cap():
     make_field(2, 16)  # exactly at the cap
     with pytest.raises(ValueError):
         make_field(2, 17)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["1000000000000000000000007", "3^4000000000", "2^1000000000", "2^17", "65537",
+     "2^10000000000000000000000000000"],
+)
+def test_field_specs_over_the_cap_are_refused_before_any_work(spec):
+    """The cap is checked before primality and before p**h: each spec is
+    refused at once, and the message names the spec, not p**h."""
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        parse_field_spec(spec)
+    assert time.perf_counter() - t0 < 1
+    assert str(err.value).endswith(f"field {spec} exceeds cap {FIELD_ORDER_CAP}")
+
+
+@pytest.mark.parametrize("q", [10**24 + 7, 2**100, 3**50, FIELD_ORDER_CAP + 1, 10**30])
+def test_field_orders_over_the_cap_are_refused_before_factoring(q):
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^field {q} exceeds cap {FIELD_ORDER_CAP}$"):
+        field_from_order(q)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_find_reduction_poly_gf9():
